@@ -193,6 +193,9 @@ class ResourcePool:
     def __len__(self) -> int:
         return len(self._contexts)
 
+    def __contains__(self, ue_ref: str) -> bool:
+        return ue_ref in self._contexts
+
     @property
     def is_full(self) -> bool:
         return len(self._contexts) >= self.capacity
@@ -273,7 +276,11 @@ class _Engine:
         self.trace.append(RrcEvent(self.now, kind, ue_ref, cause))
 
     def _fresh_ref(self, prefix: str) -> str:
-        return f"{prefix}-{self.rng.getrandbits(32):08x}"
+        # Redraw on a live ref: admit() would reject it although the pool has room.
+        while True:
+            ue_ref = f"{prefix}-{self.rng.getrandbits(32):08x}"
+            if ue_ref not in self.pool:
+                return ue_ref
 
     # -- gNB --------------------------------------------------------------
 

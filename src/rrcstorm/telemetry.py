@@ -7,8 +7,11 @@ not have produced is rejected with its line number.
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 from .detector import DetectionVerdict, GnbState, WindowFeatures
 from .events import EstablishmentCause, MsgKind, RrcEvent
@@ -20,6 +23,18 @@ _KINDS = {k.value: k for k in MsgKind}
 _CAUSES = {c.value: c for c in EstablishmentCause}
 _STATES = {s.value: s for s in GnbState}
 
+# A trace line exactly as trace_line writes it for an int timestamp and a
+# printable-ASCII ue without '"' or '\', so the JSON text is its own value.
+# Only these lines skip json.loads; the t >= prev_t and cause-iff-msg3 checks
+# still run on them, and every other line takes the strict parser.
+_CANONICAL_TRACE_LINE = re.compile(
+    '{"t":(0|[1-9][0-9]*),'
+    f'"kind":"({"|".join(map(re.escape, _KINDS))})",'
+    r'"ue":"([ !#-\[\]-~]+)"'
+    f'(?:,"cause":"({"|".join(map(re.escape, _CAUSES))})")?'
+    "}$"
+)
+
 Sink = Union[str, Path, IO[str]]
 
 
@@ -30,31 +45,42 @@ class TraceParseError(ValueError):
         self.reason = reason
 
 
-def _open(sink: Sink, mode: str):
+@contextmanager
+def _opened(sink: Sink, mode: str) -> Iterator[IO[str]]:
+    """Open a path as UTF-8 with LF endings; pass an open stream through unclosed."""
     if isinstance(sink, (str, Path)):
-        return open(sink, mode, encoding="utf-8", newline="\n"), True
-    return sink, False
+        with open(sink, mode, encoding="utf-8", newline="\n") as fh:
+            yield fh
+    else:
+        yield sink
 
 
 def trace_line(event: RrcEvent) -> str:
-    record = {"t": event.t, "kind": event.kind.value, "ue": event.ue_ref}
-    if event.cause is not None:
-        record["cause"] = event.cause.value
-    return json.dumps(record, separators=(",", ":"))
+    t, ue, cause = event.t, event.ue_ref, event.cause
+    if type(t) is not int or type(ue) is not str:
+        record = {"t": t, "kind": event.kind.value, "ue": ue}
+        if cause is not None:
+            record["cause"] = cause.value
+        return json.dumps(record, separators=(",", ":"))
+    # Same bytes as the json.dumps form above: ensure_ascii encodes ue alone.
+    if cause is None:
+        return f'{{"t":{t},"kind":"{event.kind.value}","ue":{encode_basestring_ascii(ue)}}}'
+    return (f'{{"t":{t},"kind":"{event.kind.value}","ue":{encode_basestring_ascii(ue)},'
+            f'"cause":"{cause.value}"}}')
+
+
+def _write_lines(lines: Iterable[str], sink: Sink) -> int:
+    """Stream one LF-terminated line per item to sink; returns the line count."""
+    count = 0
+    with _opened(sink, "w") as fh:
+        for count, line in enumerate(lines, 1):
+            fh.write(line + "\n")
+    return count
 
 
 def write_trace(events: Iterable[RrcEvent], sink: Sink) -> int:
     """Write one JSON line per event; returns the record count."""
-    fh, owned = _open(sink, "w")
-    try:
-        count = 0
-        for event in events:
-            fh.write(trace_line(event) + "\n")
-            count += 1
-        return count
-    finally:
-        if owned:
-            fh.close()
+    return _write_lines(map(trace_line, events), sink)
 
 
 def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
@@ -95,11 +121,19 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
 
 def read_trace(source: Sink) -> list[RrcEvent]:
     """Parse a trace file back into events; round-trips write_trace exactly."""
-    fh, owned = _open(source, "r")
-    try:
+    match = _CANONICAL_TRACE_LINE.match
+    with _opened(source, "r") as fh:
         events = []
         prev_t = 0
         for line_no, line in enumerate(fh, 1):
+            m = match(line)
+            if m is not None:
+                t, kind, ue, cause = m.groups()
+                t = int(t)
+                if t >= prev_t and (cause is not None) == (kind == "msg3"):
+                    events.append(RrcEvent(t, _KINDS[kind], ue, _CAUSES.get(cause)))
+                    prev_t = t
+                    continue
             line = line.rstrip("\n")
             if not line:
                 raise TraceParseError(line_no, "blank line")
@@ -107,9 +141,6 @@ def read_trace(source: Sink) -> list[RrcEvent]:
             prev_t = event.t
             events.append(event)
         return events
-    finally:
-        if owned:
-            fh.close()
 
 
 def verdict_line(verdict: DetectionVerdict) -> str:
@@ -123,22 +154,15 @@ def verdict_line(verdict: DetectionVerdict) -> str:
 
 
 def write_verdicts(verdicts: Iterable[DetectionVerdict], sink: Sink) -> int:
-    fh, owned = _open(sink, "w")
-    try:
-        count = 0
-        for verdict in verdicts:
-            fh.write(verdict_line(verdict) + "\n")
-            count += 1
-        return count
-    finally:
-        if owned:
-            fh.close()
+    return _write_lines(map(verdict_line, verdicts), sink)
+
+
+_VERDICT_KEYS = {"t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"}
 
 
 def read_verdicts(source: Sink, window_ms: int = 625) -> list[DetectionVerdict]:
     """Parse a verdict file; ratios come back rounded to their 4 decimals."""
-    fh, owned = _open(source, "r")
-    try:
+    with _opened(source, "r") as fh:
         verdicts = []
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -148,10 +172,21 @@ def read_verdicts(source: Sink, window_ms: int = 625) -> list[DetectionVerdict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(line_no, f"bad JSON: {exc}") from None
-            expected = {"t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"}
-            if set(record) != expected:
-                raise TraceParseError(line_no, f"keys must be {sorted(expected)}")
-            state = _STATES.get(record["state"])
+            if not isinstance(record, dict):
+                raise TraceParseError(line_no, "record is not an object")
+            if set(record) != _VERDICT_KEYS:
+                raise TraceParseError(line_no, f"keys must be {sorted(_VERDICT_KEYS)}")
+            # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
+            for key in ("t", "n_msg3", "n_msg4", "n_msg5"):
+                if type(record[key]) is not int:
+                    raise TraceParseError(
+                        line_no, f"'{key}' must be an integer, got {record[key]!r}")
+            for key in ("r1", "r2"):
+                if type(record[key]) not in (int, float):
+                    raise TraceParseError(
+                        line_no, f"'{key}' must be a number, got {record[key]!r}")
+            state = record["state"]
+            state = _STATES.get(state) if isinstance(state, str) else None
             if state is None:
                 raise TraceParseError(line_no, f"unknown state {record['state']!r}")
             features = WindowFeatures(
@@ -165,6 +200,3 @@ def read_verdicts(source: Sink, window_ms: int = 625) -> list[DetectionVerdict]:
             )
             verdicts.append(DetectionVerdict(record["t"], state, features))
         return verdicts
-    finally:
-        if owned:
-            fh.close()

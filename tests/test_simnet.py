@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -274,6 +275,17 @@ class TestInvariants:
         msg5_refs = {e.ue_ref for e in result.trace if e.kind is MsgKind.MSG5}
         accepted_refs = {e.ue_ref for e in result.trace if e.kind is MsgKind.MSG3}
         assert accepted_refs == msg5_refs
+
+    def test_live_ref_collision_redrawn_not_rejected(self, monkeypatch):
+        # Each 32-bit draw repeats once, so every attack cycle first draws the
+        # ref of the context it admitted last; with room in the pool, none of
+        # those Msg3s may be rejected.
+        draws = itertools.chain.from_iterable((n, n) for n in itertools.count())
+        monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: next(draws))
+        result = run(attack(duration_ms=1000), GnbConfig(capacity=1000))
+        refs = [e.ue_ref for e in result.trace if e.kind is MsgKind.MSG3]
+        assert result.rejected_msg3 == 0
+        assert result.accepted_msg3 == len(refs) == len(set(refs))
 
     def test_metrics_recomputable_from_trace(self):
         result = run(attack(seed=11), GnbConfig())

@@ -1,7 +1,10 @@
 import io
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcstorm import (
     DetectionVerdict,
@@ -16,7 +19,7 @@ from rrcstorm import (
     write_trace,
     write_verdicts,
 )
-from rrcstorm.telemetry import trace_line, verdict_line
+from rrcstorm.telemetry import _parse_trace_record, trace_line, verdict_line
 
 from helpers import random_trace
 
@@ -132,6 +135,28 @@ class TestVerdicts:
         assert [v.t_ms for v in parsed] == [625, 650, 675]
         assert all(v.state is GnbState.ATTACK for v in parsed)
 
+    @pytest.mark.parametrize("line,fragment", [
+        ('5', "not an object"),
+        ('["t","state"]', "not an object"),
+        ('{"t":"x","state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0}', "'t'"),
+        ('{"t":true,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0}', "'t'"),
+        ('{"t":650,"state":"attack","n_msg3":1.5,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0}',
+         "'n_msg3'"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":"1","n_msg5":1,"r1":1.0,"r2":1.0}',
+         "'n_msg4'"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":false,"r1":1.0,"r2":1.0}',
+         "'n_msg5'"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":"1.0","r2":1.0}', "'r1'"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":null}', "'r2'"),
+        ('{"t":650,"state":["attack"],"n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1,"r2":1}', "state"),
+    ])
+    def test_typed_rejections_carry_line_number(self, line, fragment):
+        good = verdict_line(self._verdict())
+        with pytest.raises(TraceParseError) as excinfo:
+            read_verdicts(io.StringIO(f"{good}\n{line}\n"))
+        assert excinfo.value.line_no == 2
+        assert fragment in excinfo.value.reason
+
     def test_unknown_state_rejected(self):
         line = ('{"t":650,"state":"panic","n_msg3":1,"n_msg4":1,'
                 '"n_msg5":1,"r1":1.0000,"r2":1.0000}\n')
@@ -145,3 +170,117 @@ class TestVerdicts:
         assert raw.endswith(b"}\n")
         assert b"\r" not in raw
         assert len(read_verdicts(path)) == 1
+
+
+def json_trace_line(event):
+    """The json.dumps form trace_line must reproduce byte for byte."""
+    record = {"t": event.t, "kind": event.kind.value, "ue": event.ue_ref}
+    if event.cause is not None:
+        record["cause"] = event.cause.value
+    return json.dumps(record, separators=(",", ":"))
+
+
+def reference_read_trace(text):
+    """read_trace without the fast path: every line through _parse_trace_record."""
+    events, prev_t = [], 0
+    for line_no, line in enumerate(io.StringIO(text), 1):
+        line = line.rstrip("\n")
+        if not line:
+            raise TraceParseError(line_no, "blank line")
+        event = _parse_trace_record(line_no, line, prev_t)
+        prev_t = event.t
+        events.append(event)
+    return events
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except TraceParseError as exc:
+        return exc.line_no, exc.reason
+
+
+kind_and_cause = st.one_of(
+    st.tuples(st.just(MsgKind.MSG3), st.sampled_from(EstablishmentCause)),
+    st.tuples(st.sampled_from([k for k in MsgKind if k is not MsgKind.MSG3]), st.none()),
+)
+ue_chars = st.one_of(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.sampled_from('"\\/\x00\n\r\x1f\x7fé '),
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+)
+
+
+any_ue = st.text(ue_chars, min_size=1)
+# Refs the read fast path takes: printable ASCII without '"' or '\\'.
+plain_ue = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                 exclude_characters='"\\'), min_size=1)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0) | st.booleans(), kind_and_cause, any_ue)
+def test_trace_line_equals_json_dumps(t, kind_and_cause, ue):
+    event = RrcEvent(t, kind_and_cause[0], ue, kind_and_cause[1])
+    assert trace_line(event) == json_trace_line(event)
+
+
+def _mutate(line, how, rng):
+    """One way a trace line can differ from what write_trace writes."""
+    record = json.loads(line)
+    if how == "crlf":
+        return line + "\r"
+    if how == "space":
+        i = rng.randrange(len(line) + 1)
+        return line[:i] + " " + line[i:]
+    if how == "reorder":
+        return json.dumps(dict(reversed(record.items())), separators=(",", ":"))
+    if how == "leading_zero":
+        return line.replace('"t":', '"t":0', 1)
+    if how == "minus_zero":
+        return line.replace(f'"t":{record["t"]}', '"t":-0', 1)
+    if how == "float_t":
+        return line.replace(f'"t":{record["t"]}', f'"t":{record["t"]}.0', 1)
+    if how == "bool_t":
+        return line.replace(f'"t":{record["t"]}', '"t":true', 1)
+    if how == "escaped_ue":
+        ue = record["ue"]
+        first = f"\\u{ord(ue[0]):04x}" if ord(ue[0]) < 0x10000 else json.dumps(ue[0])[1:-1]
+        return line.replace(json.dumps(ue), f'"{first}' + json.dumps(ue[1:])[1:], 1)
+    if how == "drop_cause":
+        record.pop("cause", None)
+    elif how == "extra_cause":
+        record["cause"] = "mo_data"
+    elif how == "regression":
+        record["t"] = max(record["t"] - rng.randrange(1, 5), 0)
+    elif how == "blank":
+        return ""
+    return json.dumps(record, separators=(",", ":"))
+
+
+MUTATIONS = ["crlf", "space", "reorder", "leading_zero", "minus_zero", "float_t",
+             "bool_t", "escaped_ue", "drop_cause", "extra_cause", "regression", "blank"]
+
+
+@st.composite
+def mutated_traces(draw):
+    lines = []
+    t = 0
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.integers(0, 3))
+        kind, cause = draw(kind_and_cause)
+        lines.append(trace_line(RrcEvent(t, kind, draw(plain_ue | any_ue), cause)))
+    rng = draw(st.randoms(use_true_random=False))
+    if lines:
+        mutations = draw(st.dictionaries(st.integers(0, len(lines) - 1),
+                                         st.sampled_from(MUTATIONS), max_size=3))
+        for i, how in mutations.items():
+            lines[i] = _mutate(lines[i], how, rng)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(deadline=None)
+@given(mutated_traces())
+def test_read_trace_agrees_with_strict_parser(text):
+    assert outcome(lambda s: read_trace(io.StringIO(s)), text) == outcome(
+        reference_read_trace, text)
