@@ -58,47 +58,3 @@ from .telemetry import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticInputs",
-    "AnalyticOutputs",
-    "DetectionVerdict",
-    "DetectorConfig",
-    "EstablishmentCause",
-    "GnbConfig",
-    "GnbState",
-    "MsgKind",
-    "ResourcePool",
-    "RrcEvent",
-    "ScenarioError",
-    "ScenarioKind",
-    "ScenarioSpec",
-    "SimResult",
-    "SlidingWindowDetector",
-    "StreamOrderError",
-    "StreamViolation",
-    "TraceParseError",
-    "TruncatedPoissonSpec",
-    "TRACE_SUFFIX",
-    "VERDICT_SUFFIX",
-    "WAITING_TIME_EFFECTIVE_MS",
-    "WAITING_TIME_NOMINAL_MS",
-    "WindowFeatures",
-    "accept_reject_durations",
-    "accepted_count",
-    "availability_rate",
-    "classify",
-    "detection_latency",
-    "drop_time",
-    "full_model",
-    "read_trace",
-    "read_verdicts",
-    "rejected_count",
-    "run",
-    "run_stream",
-    "summarize_trace",
-    "truncated_poisson_sample",
-    "validate_stream",
-    "write_trace",
-    "write_verdicts",
-]

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 from . import harness, presets
 from .detector import DetectorConfig, GnbState
@@ -19,24 +20,77 @@ from .events import EstablishmentCause
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, TruncatedPoissonSpec
 
 
-def _scenario_from_dict(data: dict) -> ScenarioSpec:
-    if "background" in data and data["background"] is not None:
-        data = dict(data, background=TruncatedPoissonSpec(**data["background"]))
-    if "kind" in data:
-        data = dict(data, kind=ScenarioKind(data["kind"]))
-    if "attacker_cause" in data:
-        data = dict(data, attacker_cause=EstablishmentCause(data["attacker_cause"]))
-    return ScenarioSpec(**data)
+class ConfigError(ValueError):
+    """A JSON config that cannot be loaded; the message names the file and section."""
+
+
+def _check_keys(data: object, allowed: Iterable[str], where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    return data
+
+
+def _build(cls: type, data: object, where: str, **convert: Callable) -> Any:
+    """cls(**data) for a JSON object of cls's fields, convert[field] applied to non-null
+    values; type and value errors, the constructor's checks included, name where."""
+    fields = dict(_check_keys(data, [f.name for f in dataclasses.fields(cls)], where))
+    try:
+        for key, fn in convert.items():
+            if fields.get(key) is not None:
+                fields[key] = fn(fields[key])
+        return cls(**fields)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfig]:
-    """JSON config: {"scenario": {...}, "gnb": {...}, "detector": {...}}."""
+    """JSON config: {"scenario": {...}, "gnb": {...}, "detector": {...}}.
+
+    "scenario" is required; an omitted "gnb" or "detector" takes the defaults.
+    """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    scenario = _scenario_from_dict(data["scenario"])
-    gnb = GnbConfig(**data.get("gnb", {}))
-    detector = DetectorConfig(**data.get("detector", {}))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: bad JSON: {exc}") from None
+    data = _check_keys(data, ("scenario", "gnb", "detector"), str(path))
+    if "scenario" not in data:
+        raise ConfigError(f"{path}: scenario: missing section")
+    scenario = _build(
+        ScenarioSpec, data["scenario"], f"{path}: scenario",
+        kind=ScenarioKind, attacker_cause=EstablishmentCause,
+        background=lambda bg: _build(TruncatedPoissonSpec, bg, f"{path}: scenario.background"))
+    gnb = _build(GnbConfig, data.get("gnb", {}), f"{path}: gnb")
+    detector = _build(DetectorConfig, data.get("detector", {}), f"{path}: detector")
     return scenario, gnb, detector
+
+
+#: argparse dest -> (section, field) it overrides; only flags that were given apply.
+#: --occupancy-pct is the one computed override (a share of the resolved capacity).
+FLAG_FIELDS = {
+    "capacity": ("gnb", "capacity"),
+    "waiting_time_ms": ("gnb", "waiting_time_ms"),
+    "attack_rate": ("scenario", "attacker_rate_per_s"),
+    "window_ms": ("detector", "window_ms"),
+    "hop_ms": ("detector", "hop_ms"),
+    "watermark": ("detector", "msg3_watermark"),
+    "r1_threshold": ("detector", "r1_threshold"),
+    "r2_threshold": ("detector", "r2_threshold"),
+}
+
+
+def _override(args: argparse.Namespace, **sections: Any) -> list[Any]:
+    """The sections in order, each with its given FLAG_FIELDS flags applied in one replace."""
+    changes: dict[str, dict] = {name: {} for name in sections}
+    for dest, (section, field) in FLAG_FIELDS.items():
+        if getattr(args, dest, None) is not None:
+            changes[section][field] = getattr(args, dest)
+    return [dataclasses.replace(obj, **changes[name]) for name, obj in sections.items()]
 
 
 def _resolve(args: argparse.Namespace, seed: int,
@@ -53,33 +107,10 @@ def _resolve(args: argparse.Namespace, seed: int,
                 f"({', '.join(presets.PRESET_NAMES)}) and no such file")
         scenario, gnb, detector = load_config_file(path)
         scenario = dataclasses.replace(scenario, seed=seed)
-
-    gnb_overrides = {}
-    if args.capacity is not None:
-        gnb_overrides["capacity"] = args.capacity
-    if args.waiting_time_ms is not None:
-        gnb_overrides["waiting_time_ms"] = args.waiting_time_ms
-    if gnb_overrides:
-        gnb = dataclasses.replace(gnb, **gnb_overrides)
-
-    scenario_overrides = {}
-    if args.attack_rate is not None:
-        scenario_overrides["attacker_rate_per_s"] = args.attack_rate
+    scenario, gnb, detector = _override(args, scenario=scenario, gnb=gnb, detector=detector)
     if args.occupancy_pct is not None:
-        scenario_overrides["preconnected_bue"] = round(
-            gnb.capacity * args.occupancy_pct / 100)
-    if scenario_overrides:
-        scenario = dataclasses.replace(scenario, **scenario_overrides)
-
-    detector_overrides = {}
-    if args.window_ms is not None:
-        detector_overrides["window_ms"] = args.window_ms
-    if args.hop_ms is not None:
-        detector_overrides["hop_ms"] = args.hop_ms
-    if args.watermark is not None:
-        detector_overrides["msg3_watermark"] = args.watermark
-    if detector_overrides:
-        detector = dataclasses.replace(detector, **detector_overrides)
+        scenario = dataclasses.replace(
+            scenario, preconnected_bue=round(gnb.capacity * args.occupancy_pct / 100))
     return scenario, gnb, detector
 
 
@@ -185,18 +216,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.window_ms is not None:
-        overrides["window_ms"] = args.window_ms
-    if args.hop_ms is not None:
-        overrides["hop_ms"] = args.hop_ms
-    if args.watermark is not None:
-        overrides["msg3_watermark"] = args.watermark
-    if args.r1_threshold is not None:
-        overrides["r1_threshold"] = args.r1_threshold
-    if args.r2_threshold is not None:
-        overrides["r2_threshold"] = args.r2_threshold
-    detector = dataclasses.replace(presets.default_detector(), **overrides)
+    [detector] = _override(args, detector=presets.default_detector())
     out = args.out
     if out is None:
         stem = args.trace.name.removesuffix(".rrctrace.jsonl")

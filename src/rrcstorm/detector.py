@@ -17,6 +17,10 @@ from typing import Iterable, Optional, Sequence
 from .events import MsgKind, RrcEvent
 
 
+#: Below this many Msg3s in a window, r1 is not meaningful and reads as 1 (idle).
+MIN_MSG3_FOR_R1 = 3
+
+
 class StreamOrderError(ValueError):
     """An event arrived with a timestamp older than an already-ingested one."""
 
@@ -35,7 +39,6 @@ class DetectorConfig:
     r1_threshold: float = 0.5
     r2_threshold: float = 0.5
     msg3_watermark: int = 8          # per-window Msg3 count above which traffic is abnormal
-    min_msg3_for_ratios: int = 3     # below this, r1 is not meaningful and reads as idle
 
     def __post_init__(self) -> None:
         if not 0 < self.hop_ms <= self.window_ms:
@@ -46,8 +49,6 @@ class DetectorConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.msg3_watermark < 1:
             raise ValueError("msg3_watermark must be >= 1")
-        if self.min_msg3_for_ratios < 0:
-            raise ValueError("min_msg3_for_ratios must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,11 @@ def compute_ratios(n_msg3: int, n_msg4: int, n_msg5: int,
                    config: DetectorConfig) -> tuple[float, float]:
     """(r1, r2) with degenerate-denominator rules.
 
-    Too few Msg3s to judge -> r1 reads as 1 (idle). No Msg4 and no Msg5 reads
+    Fewer than MIN_MSG3_FOR_R1 Msg3s -> r1 reads as 1 (idle). No Msg4 and no Msg5 reads
     as gNB silence (r2 = 0) when the Msg3 count is abnormal, idle (r2 = 1)
     otherwise. Both ratios are clamped to [0, 1].
     """
-    if n_msg3 < max(config.min_msg3_for_ratios, 1):
+    if n_msg3 < MIN_MSG3_FOR_R1:
         r1 = 1.0
     else:
         r1 = min(1.0, n_msg5 / n_msg3)

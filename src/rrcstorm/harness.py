@@ -11,7 +11,7 @@ import dataclasses
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic, presets, telemetry
 from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS
@@ -32,9 +32,23 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("at least one seed required")
 
-    @property
-    def repetitions(self) -> int:
-        return len(self.seeds)
+
+def _seeded_runs(scenario: ScenarioSpec, seeds: Iterable[int], gnb: GnbConfig,
+                 detector: Optional[DetectorConfig] = None,
+                 ) -> Iterator[tuple[int, SimResult, Optional[list[DetectionVerdict]]]]:
+    """(seed, result, verdicts) for each seed in ascending order; no detector, no verdicts."""
+    for seed in sorted(seeds):
+        result = run(dataclasses.replace(scenario, seed=seed), gnb)
+        yield seed, result, None if detector is None else run_stream(result.trace, detector)
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Header plus rows; None is written as an empty cell."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -94,20 +108,16 @@ def table1_scenario(occupancy_pct: int, seed: int,
 def table1_simulated_row(occupancy_pct: int, seeds: Sequence[int],
                          gnb: GnbConfig,
                          rate_per_s: float = presets.ATTACK_RATE_PER_S) -> TableOneRow:
-    drops, accepts, rejects, avails, reject_durs = [], [], [], [], []
-    for seed in sorted(seeds):
-        result = run(table1_scenario(occupancy_pct, seed, gnb.capacity,
-                                     rate_per_s, gnb.waiting_time_ms), gnb)
-        if result.drop_time_ms is None:
+    scenario = table1_scenario(occupancy_pct, 0, gnb.capacity, rate_per_s, gnb.waiting_time_ms)
+    per_seed = []   # scalars only: holding each result would keep every trace alive
+    for _, r, _ in _seeded_runs(scenario, seeds, gnb):
+        if r.drop_time_ms is None:
             raise RuntimeError(f"flood at {occupancy_pct}% occupancy did not saturate")
-        drops.append(result.drop_time_ms)
-        accepts.append(result.accepted_first_period)
-        rejects.append(result.rejected_first_period)
-        avails.append(result.availability_first_period_pct)
-        if result.duration_reject_ms is not None:
-            reject_durs.append(result.duration_reject_ms)
+        per_seed.append((r.drop_time_ms, r.accepted_first_period, r.rejected_first_period,
+                         r.availability_first_period_pct, r.duration_reject_ms))
+    drops, accepts, rejects, avails, reject_durs = zip(*per_seed)
+    reject_durs = [d for d in reject_durs if d is not None]
     drop_s = statistics.mean(drops) / 1000.0
-    reject_s = statistics.mean(reject_durs) / 1000.0 if reject_durs else 0.0
     return TableOneRow(
         occupancy_pct=occupancy_pct,
         source="simulated",
@@ -115,7 +125,7 @@ def table1_simulated_row(occupancy_pct: int, seeds: Sequence[int],
         rejected=statistics.mean(rejects),
         drop_time_s=drop_s,
         accept_duration_s=drop_s,
-        reject_duration_s=reject_s,
+        reject_duration_s=statistics.mean(reject_durs) / 1000.0 if reject_durs else 0.0,
         availability_pct=statistics.mean(avails),
     )
 
@@ -129,22 +139,13 @@ def cmd_table1(seeds: Sequence[int], gnb: Optional[GnbConfig] = None,
         rows.append(table1_theoretical_row(pct, capacity=gnb.capacity))
         rows.append(table1_simulated_row(pct, seeds, gnb))
     if out_path is not None:
-        write_table1_csv(rows, out_path)
+        _write_csv(out_path, ["occupancy_pct", "source", "accepted_msg3", "rejected_msg3",
+                              "drop_time_s", "accept_duration_s", "reject_duration_s",
+                              "availability_pct"],
+                   ([r.occupancy_pct, r.source, f"{r.accepted:.1f}", f"{r.rejected:.1f}",
+                     f"{r.drop_time_s:.3f}", f"{r.accept_duration_s:.3f}",
+                     f"{r.reject_duration_s:.3f}", f"{r.availability_pct:.2f}"] for r in rows))
     return rows
-
-
-def write_table1_csv(rows: Sequence[TableOneRow], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["occupancy_pct", "source", "accepted_msg3", "rejected_msg3",
-                         "drop_time_s", "accept_duration_s", "reject_duration_s",
-                         "availability_pct"])
-        for r in rows:
-            writer.writerow([r.occupancy_pct, r.source,
-                             f"{r.accepted:.1f}", f"{r.rejected:.1f}",
-                             f"{r.drop_time_s:.3f}", f"{r.accept_duration_s:.3f}",
-                             f"{r.reject_duration_s:.3f}", f"{r.availability_pct:.2f}"])
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,6 @@ class LatencySummary:
     total_attack_verdicts: int
 
 
-def run_with_verdicts(scenario: ScenarioSpec, gnb: GnbConfig,
-                      detector: DetectorConfig) -> tuple[SimResult, list[DetectionVerdict]]:
-    result = run(scenario, gnb)
-    return result, run_stream(result.trace, detector)
-
-
 def latency_campaign(config: ExperimentConfig,
                      target: Optional[GnbState] = None,
                      out_path: Optional[Path] = None,
@@ -189,9 +184,8 @@ def latency_campaign(config: ExperimentConfig,
         target = (GnbState.ATTACK if config.scenario.kind is ScenarioKind.ATTACK
                   else GnbState.HIGH_LOAD)
     rows = []
-    for seed in sorted(config.seeds):
-        scenario = dataclasses.replace(config.scenario, seed=seed)
-        result, verdicts = run_with_verdicts(scenario, config.gnb, config.detector)
+    for seed, result, verdicts in _seeded_runs(config.scenario, config.seeds,
+                                               config.gnb, config.detector):
         onset = result.first_msg3_ms
         if onset is None:
             raise RuntimeError(f"seed {seed}: scenario produced no Msg3")
@@ -221,24 +215,9 @@ def latency_campaign(config: ExperimentConfig,
         total_attack_verdicts=sum(r.attack_verdicts for r in rows),
     )
     if out_path is not None:
-        write_latency_csv(rows, out_path)
+        _write_csv(out_path, [f.name for f in dataclasses.fields(LatencyRow)],
+                   map(dataclasses.astuple, rows))
     return rows, summary
-
-
-def write_latency_csv(rows: Sequence[LatencyRow], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "onset_ms", "drop_time_ms", "latency_ms",
-                         "margin_ms", "attack_verdicts", "highload_verdicts"])
-        for r in rows:
-            writer.writerow([
-                r.seed, r.onset_ms,
-                "" if r.drop_time_ms is None else r.drop_time_ms,
-                "" if r.latency_ms is None else r.latency_ms,
-                "" if r.margin_ms is None else r.margin_ms,
-                r.attack_verdicts, r.highload_verdicts,
-            ])
 
 
 @dataclass(frozen=True)
@@ -261,9 +240,8 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
     trace_paths, verdict_paths = [], []
     metrics_rows = []
     acc, rej = [], []
-    for seed in sorted(config.seeds):
-        scenario = dataclasses.replace(config.scenario, seed=seed)
-        result, verdicts = run_with_verdicts(scenario, config.gnb, config.detector)
+    for seed, result, verdicts in _seeded_runs(config.scenario, config.seeds,
+                                               config.gnb, config.detector):
         stem = config.out_dir / f"{config.name}-seed{seed}"
         trace_path = Path(str(stem) + telemetry.TRACE_SUFFIX)
         verdict_path = Path(str(stem) + telemetry.VERDICT_SUFFIX)
@@ -273,29 +251,21 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
         verdict_paths.append(verdict_path)
         acc.append(result.accepted_first_period)
         rej.append(result.rejected_first_period)
-        metrics_rows.append([
-            seed,
-            "" if result.first_msg3_ms is None else result.first_msg3_ms,
-            "" if result.drop_time_ms is None else result.drop_time_ms,
-            result.accepted_first_period,
-            result.rejected_first_period,
-            "" if result.availability_first_period_pct is None
-            else f"{result.availability_first_period_pct:.2f}",
-            result.accepted_msg3,
-            result.rejected_msg3,
-        ])
+        avail = result.availability_first_period_pct
+        metrics_rows.append([seed, result.first_msg3_ms, result.drop_time_ms,
+                             result.accepted_first_period, result.rejected_first_period,
+                             None if avail is None else f"{avail:.2f}",
+                             result.accepted_msg3, result.rejected_msg3])
     availability = None
     if sum(acc) + sum(rej) > 0:
         availability, _ = analytic.availability_rate(acc, rej)
+    metrics_rows.append(["aggregate", None, None, sum(acc), sum(rej),
+                         None if availability is None else f"{availability:.2f}", None, None])
     metrics_path = config.out_dir / f"{config.name}-metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "first_msg3_ms", "drop_time_ms",
-                         "accepted_first_period", "rejected_first_period",
-                         "availability_pct", "accepted_total", "rejected_total"])
-        writer.writerows(metrics_rows)
-        writer.writerow(["aggregate", "", "", sum(acc), sum(rej),
-                         "" if availability is None else f"{availability:.2f}", "", ""])
+    _write_csv(metrics_path, ["seed", "first_msg3_ms", "drop_time_ms",
+                              "accepted_first_period", "rejected_first_period",
+                              "availability_pct", "accepted_total", "rejected_total"],
+               metrics_rows)
     return RunArtifacts(trace_paths, verdict_paths, metrics_path, availability)
 
 

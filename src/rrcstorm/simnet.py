@@ -15,15 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+from .analytic import _round_half_up
 from .events import EstablishmentCause, MsgKind, RrcEvent, validate_stream
 
 
 class ScenarioError(ValueError):
     """Raised for a scenario/config combination that cannot be run."""
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -262,14 +259,23 @@ class _Engine:
         self.pool = ResourcePool(gnb.capacity)
         self.trace: list[RrcEvent] = []
         self.now = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
 
     # -- plumbing ---------------------------------------------------------
 
-    def schedule(self, t: int, fn: Callable[[], None]) -> None:
+    def schedule(self, t: int, fn: Callable[..., None], *args) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn))
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
+
+    def _periodic(self, n: int, start: int, period_ms: float,
+                  action: Callable[[], None]) -> None:
+        # Firing n of a train at start + round(n * period_ms), up to duration_ms. Each
+        # time is taken from start, not from the last firing, so rounding never drifts.
+        action()
+        t_next = start + _round_half_up((n + 1) * period_ms)
+        if t_next < self.scenario.duration_ms:
+            self.schedule(t_next, self._periodic, n + 1, start, period_ms, action)
 
     def emit(self, kind: MsgKind, ue_ref: str,
              cause: Optional[EstablishmentCause] = None) -> None:
@@ -290,15 +296,9 @@ class _Engine:
         if generation is None:
             self.emit(MsgKind.MSG3_REJECTED, ue_ref)
             return False
-        self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms,
-                      lambda: self.emit(MsgKind.MSG4, ue_ref))
-        self.schedule(self.now + self.gnb.waiting_time_ms,
-                      lambda: self._gnb_expire(ue_ref, generation))
+        self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self.emit, MsgKind.MSG4, ue_ref)
+        self.schedule(self.now + self.gnb.waiting_time_ms, self._gnb_expire, ue_ref, generation)
         return True
-
-    def gnb_on_msg5(self, ue_ref: str) -> bool:
-        """Connect the matching pending context; stale Msg5 changes nothing."""
-        return self.pool.complete(ue_ref)
 
     def _gnb_expire(self, ue_ref: str, generation: int) -> None:
         if self.pool.expire(ue_ref, generation):
@@ -306,20 +306,13 @@ class _Engine:
 
     # -- attacker ---------------------------------------------------------
 
-    def _attack_period_ms(self) -> float:
-        rate = min(self.scenario.attacker_rate_per_s, self.gnb.max_msg1_rate_per_s)
-        return 1000.0 / rate
-
-    def _attacker_cycle(self, n: int, onset: int) -> None:
+    def _attacker_cycle(self) -> None:
         # One RA loop then Msg3; Msg4 and T300 are ignored, no Msg5 ever.
         ue_ref = self._fresh_ref("mue")
         self.emit(MsgKind.MSG1, ue_ref)
         self.emit(MsgKind.MSG2, ue_ref)
         self.emit(MsgKind.MSG3, ue_ref, self.scenario.attacker_cause)
         self.gnb_on_msg3(ue_ref)
-        t_next = onset + _round_half_up((n + 1) * self._attack_period_ms())
-        if t_next < self.scenario.duration_ms:
-            self.schedule(t_next, lambda: self._attacker_cycle(n + 1, onset))
 
     # -- benign UEs -------------------------------------------------------
 
@@ -331,22 +324,20 @@ class _Engine:
         self.emit(MsgKind.MSG3, ue.ue_ref, cause)
         accepted = self.gnb_on_msg3(ue.ue_ref)
         if accepted:
-            self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms,
-                          lambda: self._benign_on_msg4(ue))
-        self.schedule(self.now + self.scenario.t300_ms,
-                      lambda: self._benign_t300(ue, cause))
+            self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4, ue)
+        self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
 
     def _benign_on_msg4(self, ue: _BenignUe) -> None:
         ue.got_msg4 = True
-        self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms,
-                      lambda: self._benign_msg5(ue))
+        self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
 
     def _benign_msg5(self, ue: _BenignUe) -> None:
         self.emit(MsgKind.MSG5, ue.ue_ref)
-        if self.gnb_on_msg5(ue.ue_ref):
+        # Connect the matching pending context; a stale Msg5 changes nothing.
+        if self.pool.complete(ue.ue_ref):
             ue.done = True
             if ue.hold_ms is not None:
-                self.schedule(self.now + ue.hold_ms, lambda: self._benign_leave(ue))
+                self.schedule(self.now + ue.hold_ms, self._benign_leave, ue)
 
     def _benign_leave(self, ue: _BenignUe) -> None:
         if self.pool.release(ue.ue_ref):
@@ -358,24 +349,14 @@ class _Engine:
         ue.retries_left -= 1
         self._benign_attempt(ue, cause)
 
-    def _spawn_benign(self, hold_ms: Optional[int]) -> None:
-        ue = _BenignUe(self._fresh_ref("bue"), hold_ms, self.scenario.max_retries)
+    def _spawn_benign(self) -> None:
+        ue = _BenignUe(self._fresh_ref("bue"), self.scenario.benign_hold_ms,
+                       self.scenario.max_retries)
         self._benign_attempt(ue, EstablishmentCause.MO_DATA)
 
-    def _fleet_arrival(self, n: int, onset: int) -> None:
-        self._spawn_benign(self.scenario.benign_hold_ms)
-        period = 1000.0 / self.scenario.benign_fleet_rate_per_s
-        t_next = onset + _round_half_up((n + 1) * period)
-        if t_next < self.scenario.duration_ms:
-            self.schedule(t_next, lambda: self._fleet_arrival(n + 1, onset))
-
     def _background_tick(self) -> None:
-        spec = self.scenario.background
-        for _ in range(truncated_poisson_sample(spec, self.rng)):
-            self._spawn_benign(self.scenario.benign_hold_ms)
-        t_next = self.now + spec.tick_ms
-        if t_next < self.scenario.duration_ms:
-            self.schedule(t_next, self._background_tick)
+        for _ in range(truncated_poisson_sample(self.scenario.background, self.rng)):
+            self._spawn_benign()
 
     # -- run --------------------------------------------------------------
 
@@ -390,17 +371,20 @@ class _Engine:
             raise ScenarioError("onset lies beyond duration_ms")
 
         if self.scenario.kind is ScenarioKind.ATTACK:
-            self.schedule(onset, lambda: self._attacker_cycle(0, onset))
+            rate = min(self.scenario.attacker_rate_per_s, self.gnb.max_msg1_rate_per_s)
+            self.schedule(onset, self._periodic, 0, onset, 1000.0 / rate, self._attacker_cycle)
         elif self.scenario.kind is ScenarioKind.HIGH_LOAD:
-            self.schedule(onset, lambda: self._fleet_arrival(0, onset))
+            self.schedule(onset, self._periodic, 0, onset,
+                          1000.0 / self.scenario.benign_fleet_rate_per_s, self._spawn_benign)
         if self.scenario.background is not None:
-            self.schedule(0, self._background_tick)
+            self.schedule(0, self._periodic, 0, 0, self.scenario.background.tick_ms,
+                          self._background_tick)
 
         while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
+            t, _, fn, args = heapq.heappop(self._heap)
             assert t >= self.now, "event queue regressed"
             self.now = t
-            fn()
+            fn(*args)
 
         violation = validate_stream(self.trace)
         if violation is not None:

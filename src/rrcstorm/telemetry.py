@@ -83,13 +83,27 @@ def write_trace(events: Iterable[RrcEvent], sink: Sink) -> int:
     return _write_lines(map(trace_line, events), sink)
 
 
-def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
+def _load_record(line_no: int, line: str) -> dict:
+    """The checks both readers share: a non-blank line holding one JSON object."""
+    line = line.rstrip("\n")
+    if not line:
+        raise TraceParseError(line_no, "blank line")
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(line_no, f"bad JSON: {exc}") from None
     if not isinstance(record, dict):
         raise TraceParseError(line_no, "record is not an object")
+    return record
+
+
+def _lookup(table: dict, value: object):
+    """Enum member for a JSON string value; None for anything else, hashable or not."""
+    return table.get(value) if isinstance(value, str) else None
+
+
+def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
+    record = _load_record(line_no, line)
     unknown = set(record) - {"t", "kind", "ue", "cause"}
     if unknown:
         raise TraceParseError(line_no, f"unknown keys {sorted(unknown)}")
@@ -101,7 +115,7 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
         raise TraceParseError(line_no, f"'t' must be a non-negative integer, got {t!r}")
     if t < prev_t:
         raise TraceParseError(line_no, f"timestamp regression {prev_t} -> {t}")
-    kind = _KINDS.get(record["kind"])
+    kind = _lookup(_KINDS, record["kind"])
     if kind is None:
         raise TraceParseError(line_no, f"unknown kind {record['kind']!r}")
     ue = record["ue"]
@@ -111,7 +125,7 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
     if kind is MsgKind.MSG3:
         if "cause" not in record:
             raise TraceParseError(line_no, "msg3 record without cause")
-        cause = _CAUSES.get(record["cause"])
+        cause = _lookup(_CAUSES, record["cause"])
         if cause is None:
             raise TraceParseError(line_no, f"unknown cause {record['cause']!r}")
     elif "cause" in record:
@@ -134,9 +148,6 @@ def read_trace(source: Sink) -> list[RrcEvent]:
                     events.append(RrcEvent(t, _KINDS[kind], ue, _CAUSES.get(cause)))
                     prev_t = t
                     continue
-            line = line.rstrip("\n")
-            if not line:
-                raise TraceParseError(line_no, "blank line")
             event = _parse_trace_record(line_no, line, prev_t)
             prev_t = event.t
             events.append(event)
@@ -165,15 +176,7 @@ def read_verdicts(source: Sink, window_ms: int = 625) -> list[DetectionVerdict]:
     with _opened(source, "r") as fh:
         verdicts = []
         for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                raise TraceParseError(line_no, "blank line")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(line_no, f"bad JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise TraceParseError(line_no, "record is not an object")
+            record = _load_record(line_no, line)
             if set(record) != _VERDICT_KEYS:
                 raise TraceParseError(line_no, f"keys must be {sorted(_VERDICT_KEYS)}")
             # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
@@ -185,8 +188,7 @@ def read_verdicts(source: Sink, window_ms: int = 625) -> list[DetectionVerdict]:
                 if type(record[key]) not in (int, float):
                     raise TraceParseError(
                         line_no, f"'{key}' must be a number, got {record[key]!r}")
-            state = record["state"]
-            state = _STATES.get(state) if isinstance(state, str) else None
+            state = _lookup(_STATES, record["state"])
             if state is None:
                 raise TraceParseError(line_no, f"unknown state {record['state']!r}")
             features = WindowFeatures(

@@ -52,6 +52,13 @@ class TestRatios:
         r1, r2 = compute_ratios(80, 0, 0, DetectorConfig())
         assert (r1, r2) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("counts,ratios", [
+        ((2, 2, 0), (1.0, 0.0)),   # below 3 Msg3s r1 reads as idle
+        ((3, 3, 0), (0.0, 0.0)),   # from 3 Msg3s on r1 is the real ratio
+    ])
+    def test_r1_cutoff_at_three_msg3(self, counts, ratios):
+        assert compute_ratios(*counts, DetectorConfig()) == ratios
+
     def test_ratios_clamped_to_unit_interval(self):
         r1, r2 = compute_ratios(5, 2, 9, DetectorConfig())
         assert r1 == 1.0

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from rrcstorm import GnbState, read_trace, read_verdicts
-from rrcstorm.cli import main
+from rrcstorm import GnbState, harness, read_trace, read_verdicts
+from rrcstorm.cli import FLAG_FIELDS, main
 from rrcstorm.harness import (
     ExperimentConfig,
+    RunArtifacts,
     cmd_replay,
     cmd_run,
     cmd_table1,
@@ -197,3 +198,118 @@ class TestCli:
         rc = main(["table1", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "table1.csv").exists()
+
+
+# Pinned metrics CSV bytes: None cells are empty, the aggregate row has 8 cells.
+RUN_METRICS_CSV = {
+    "paper-normal": [
+        "1,100,,45,0,100.00,962,0",
+        "2,0,,41,0,100.00,998,0",
+        "aggregate,,,86,0,100.00,,",
+    ],
+    "paper-attack-0": [
+        "1,1034,121,16,341,4.48,32,360",
+        "2,1014,121,16,341,4.48,32,363",
+        "aggregate,,,32,682,4.48,,",
+    ],
+}
+
+
+def csv_bytes(lines):
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("preset", sorted(RUN_METRICS_CSV))
+    def test_run_metrics_csv(self, tmp_path, capsys, preset):
+        rc = main(["run", "--scenario", preset, "--seed", "1", "--reps", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        header = ("seed,first_msg3_ms,drop_time_ms,accepted_first_period,"
+                  "rejected_first_period,availability_pct,accepted_total,rejected_total")
+        assert (tmp_path / f"{preset}-metrics.csv").read_bytes() == csv_bytes(
+            [header] + RUN_METRICS_CSV[preset])
+
+    def test_undetected_latency_csv(self, tmp_path, capsys):
+        rc = main(["latency", "--scenario", "paper-normal", "--seed", "1", "--reps", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 1   # the normal run never reaches High-Load
+        assert (tmp_path / "paper-normal-latency.csv").read_bytes() == csv_bytes([
+            "seed,onset_ms,drop_time_ms,latency_ms,margin_ms,attack_verdicts,highload_verdicts",
+            "1,100,,,,0,0",
+        ])
+
+
+# A valid value for every flag of the override table, each unlike its default.
+FLAG_VALUES = {"capacity": 20, "waiting_time_ms": 3000, "attack_rate": 100.0,
+               "window_ms": 700, "hop_ms": 35, "watermark": 9,
+               "r1_threshold": 0.25, "r2_threshold": 0.75}
+REPLAY_FLAGS = ("window_ms", "hop_ms", "watermark", "r1_threshold", "r2_threshold")
+RUN_FLAGS = tuple(d for d in FLAG_FIELDS if not d.startswith(("r1_", "r2_")))
+
+
+def test_flag_values_cover_override_table():
+    assert set(FLAG_VALUES) == set(FLAG_FIELDS) == set(RUN_FLAGS) | set(REPLAY_FLAGS)
+
+
+@pytest.mark.parametrize("cmd,dest", [("run", d) for d in RUN_FLAGS]
+                         + [("replay", d) for d in REPLAY_FLAGS])
+def test_override_table_entry_sets_its_field(tmp_path, capsys, monkeypatch, cmd, dest):
+    seen = {}
+
+    def fake_run(config):
+        seen.update(scenario=config.scenario, gnb=config.gnb, detector=config.detector)
+        return RunArtifacts([], [], tmp_path / "m.csv", None)
+
+    def fake_replay(trace_path, detector, out_path):
+        seen.update(detector=detector)
+        return []
+
+    monkeypatch.setattr(harness, "cmd_run", fake_run)
+    monkeypatch.setattr(harness, "cmd_replay", fake_replay)
+    flag = ["--" + dest.replace("_", "-"), str(FLAG_VALUES[dest])]
+    argv = ([cmd, "--out", str(tmp_path)] if cmd == "run"
+            else [cmd, str(tmp_path / "t.rrctrace.jsonl")])
+    assert main(argv + flag) == 0
+    section, field = FLAG_FIELDS[dest]
+    assert getattr(seen[section], field) == FLAG_VALUES[dest]
+
+
+GOOD_SCENARIO = {"kind": "attack", "duration_ms": 2000, "attacker_rate_per_s": 132.07}
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"scenario": {**GOOD_SCENARIO, "x": 1}}, "scenario: unknown keys ['x']"),
+    ({"scenario": {**GOOD_SCENARIO, "background": {"lam": 2.0, "x": 1}}},
+     "scenario.background: unknown keys ['x']"),
+    ({"scenario": {**GOOD_SCENARIO, "background": [2.0]}},
+     "scenario.background: expected an object, got list"),
+    ({"gnb": {"capacity": 16}}, "scenario: missing section"),
+    ([GOOD_SCENARIO], "expected an object, got list"),
+    ({"scenario": GOOD_SCENARIO, "gnbs": {}}, "unknown keys ['gnbs']"),
+    ({"scenario": GOOD_SCENARIO, "gnb": {"capacity": "16"}}, "gnb: '<' not supported"),
+    ({"scenario": GOOD_SCENARIO, "gnb": []}, "gnb: expected an object, got list"),
+    ({"scenario": GOOD_SCENARIO, "detector": {"min_msg3_for_ratios": 3}},
+     "detector: unknown keys ['min_msg3_for_ratios']"),
+    ({"scenario": GOOD_SCENARIO, "detector": {"hop_ms": 0}}, "detector: hop_ms must be"),
+    ({"scenario": {**GOOD_SCENARIO, "kind": "storm"}},
+     "scenario: 'storm' is not a valid ScenarioKind"),
+    ({"scenario": {**GOOD_SCENARIO, "kind": []}}, "scenario: [] is not a valid ScenarioKind"),
+    ({"scenario": {**GOOD_SCENARIO, "attacker_cause": {}}},
+     "scenario: {} is not a valid EstablishmentCause"),
+    ({"scenario": {**GOOD_SCENARIO, "duration_ms": 0}}, "scenario: duration_ms must be > 0"),
+])
+def test_bad_config_file_is_a_located_error(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{scenario")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: bad JSON: ")

@@ -84,6 +84,8 @@ class TestReadTrace:
         ('not json', "bad JSON"),
         ('{"t":0,"kind":"msg3","ue":"a","cause":"nonsense"}', "cause"),
         ('[1,2]', "object"),
+        ('{"t":0,"kind":[],"ue":"a"}', "unknown kind []"),
+        ('{"t":0,"kind":"msg3","ue":"a","cause":{}}', "unknown cause {}"),
     ])
     def test_strict_rejections(self, line, fragment):
         with pytest.raises(TraceParseError) as excinfo:
@@ -284,3 +286,55 @@ def mutated_traces(draw):
 def test_read_trace_agrees_with_strict_parser(text):
     assert outcome(lambda s: read_trace(io.StringIO(s)), text) == outcome(
         reference_read_trace, text)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+# Unhashable values, which a table lookup must not choke on, or any JSON value.
+any_value = (st.lists(st.integers(), max_size=2)
+             | st.dictionaries(st.text(max_size=2), st.none()) | json_values)
+# A value each parser accepts per key, so that records also get past the first checks.
+count = st.integers(0, 2000)
+TRACE_FIELDS = {"t": count, "kind": st.sampled_from([k.value for k in MsgKind]),
+                "ue": st.text(min_size=1),
+                "cause": st.sampled_from([c.value for c in EstablishmentCause])}
+VERDICT_FIELDS = {"t": count, "state": st.sampled_from([s.value for s in GnbState]),
+                  "n_msg3": count, "n_msg4": count, "n_msg5": count,
+                  "r1": st.floats(0, 1), "r2": st.floats(0, 1)}
+
+
+@st.composite
+def json_records(draw, fields):
+    """JSONL text: each record holds all of the keys, all but one, or all plus a stray
+    key; each value is a valid one for its key or any JSON value."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = list(fields)
+        variant = draw(st.sampled_from(["all", "missing", "stray"]))
+        if variant == "missing":
+            keys.remove(draw(st.sampled_from(list(fields))))
+        elif variant == "stray":
+            keys.append("stray")
+        record = {key: draw(fields.get(key, any_value) | any_value) for key in keys}
+        lines.append(json.dumps(record, separators=draw(st.sampled_from([(",", ":"), None]))))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(deadline=None)
+@given(json_records(TRACE_FIELDS))
+def test_read_trace_raises_only_trace_parse_error(text):
+    try:
+        read_trace(io.StringIO(text))
+    except TraceParseError:
+        pass
+
+
+@settings(deadline=None)
+@given(json_records(VERDICT_FIELDS))
+def test_read_verdicts_raises_only_trace_parse_error(text):
+    try:
+        read_verdicts(io.StringIO(text))
+    except TraceParseError:
+        pass
