@@ -88,7 +88,7 @@ def _override(args: argparse.Namespace, **sections: Any) -> list[Any]:
     """The sections in order, each with its given FLAG_FIELDS flags applied in one replace."""
     changes: dict[str, dict] = {name: {} for name in sections}
     for dest, (section, field) in FLAG_FIELDS.items():
-        if getattr(args, dest, None) is not None:
+        if section in changes and getattr(args, dest, None) is not None:
             changes[section][field] = getattr(args, dest)
     return [dataclasses.replace(obj, **changes[name]) for name, obj in sections.items()]
 
@@ -114,30 +114,39 @@ def _resolve(args: argparse.Namespace, seed: int,
     return scenario, gnb, detector
 
 
+def _seeds(args: argparse.Namespace) -> list[int]:
+    return list(range(args.seed, args.seed + args.reps))
+
+
 def _experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
-    seeds = list(range(args.seed, args.seed + args.reps))
     scenario, gnb, detector = _resolve(args, args.seed)
     name = args.scenario if args.scenario in presets.PRESET_NAMES else Path(args.scenario).stem
     return harness.ExperimentConfig(
         name=name, scenario=scenario, gnb=gnb, detector=detector,
-        seeds=seeds, out_dir=Path(args.out))
+        seeds=_seeds(args), out_dir=Path(args.out))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", default="paper-attack-0",
-                        help="preset name or JSON config file "
-                             f"(presets: {', '.join(presets.PRESET_NAMES)})")
+    """The flags of run, latency and table1."""
     parser.add_argument("--capacity", type=int, help="gNB UE-context capacity")
     parser.add_argument("--waiting-time-ms", type=int, help="pending-context hold time")
     parser.add_argument("--attack-rate", type=float, help="attacker Msg3 rate per second")
-    parser.add_argument("--occupancy-pct", type=int,
-                        help="percent of contexts already connected at t=0")
     parser.add_argument("--seed", type=int, default=1, help="base RNG seed")
     parser.add_argument("--reps", type=int, default=1, help="number of seeded repetitions")
+    parser.add_argument("--out", default="out", help="output directory")
+
+
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    """The scenario and detector flags: run and latency only, since table1 runs its own
+    cold-start floods at fixed occupancies and no detector."""
+    parser.add_argument("--scenario", default="paper-attack-0",
+                        help="preset name or JSON config file "
+                             f"(presets: {', '.join(presets.PRESET_NAMES)})")
+    parser.add_argument("--occupancy-pct", type=int,
+                        help="percent of contexts already connected at t=0")
     parser.add_argument("--window-ms", type=int, help="detector window size")
     parser.add_argument("--hop-ms", type=int, help="detector evaluation stride")
     parser.add_argument("--watermark", type=int, help="abnormal Msg3-count watermark")
-    parser.add_argument("--out", default="out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate, detect, write trace/verdict/metrics files")
     _add_common(p_run)
+    _add_scenario(p_run)
 
     p_table = sub.add_parser("table1", help="theoretical vs simulated flood metrics "
                                             "at 0/25/50/75%% occupancy")
@@ -155,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser("latency", help="seeded detection-latency campaign")
     _add_common(p_lat)
+    _add_scenario(p_lat)
     p_lat.add_argument("--target", choices=[s.value for s in GnbState],
                        help="state to time (default: scenario kind)")
 
@@ -184,9 +195,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    config = _experiment(args)
-    out_path = config.out_dir / "table1.csv"
-    rows = harness.cmd_table1(config.seeds, config.gnb, out_path)
+    [gnb] = _override(args, gnb=presets.default_gnb())
+    rate = presets.ATTACK_RATE_PER_S if args.attack_rate is None else args.attack_rate
+    out_path = Path(args.out) / "table1.csv"
+    rows = harness.cmd_table1(_seeds(args), gnb, out_path, rate)
     fmt = "{:>9} {:>12} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7}"
     print(fmt.format("occupancy", "source", "accepted", "rejected",
                      "drop_s", "accept_s", "reject_s", "avail%"))

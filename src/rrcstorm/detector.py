@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .events import MsgKind, RrcEvent
+from .events import MsgKind, RrcEvent, _require_int_ms
 
 
 #: Below this many Msg3s in a window, r1 is not meaningful and reads as 1 (idle).
@@ -32,6 +32,14 @@ class GnbState(str, Enum):
     OVERLOAD = "overload"
 
 
+# Members bound once: a module global reads ~10x faster than GnbState.NORMAL in
+# the per-hop and per-event code below.
+_NORMAL, _ATTACK, _HIGH_LOAD, _OVERLOAD = (GnbState.NORMAL, GnbState.ATTACK,
+                                           GnbState.HIGH_LOAD, GnbState.OVERLOAD)
+_MSG3, _MSG4, _MSG5 = MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5
+_COUNTED = frozenset((_MSG3, _MSG4, _MSG5))
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     window_ms: int = 625
@@ -41,6 +49,7 @@ class DetectorConfig:
     msg3_watermark: int = 8          # per-window Msg3 count above which traffic is abnormal
 
     def __post_init__(self) -> None:
+        _require_int_ms(self)
         if not 0 < self.hop_ms <= self.window_ms:
             raise ValueError("hop_ms must be in (0, window_ms]")
         for name in ("r1_threshold", "r2_threshold"):
@@ -99,15 +108,15 @@ def classify(features: WindowFeatures, config: DetectorConfig) -> DetectionVerdi
     reads as Overload rather than Attack.
     """
     if features.n_msg3 <= config.msg3_watermark:
-        state = GnbState.NORMAL
+        state = _NORMAL
     elif features.n_msg4 == 0:
-        state = GnbState.OVERLOAD
+        state = _OVERLOAD
     elif features.r1 < config.r1_threshold and features.r2 < config.r2_threshold:
-        state = GnbState.ATTACK
+        state = _ATTACK
     elif features.r1 < config.r1_threshold and features.r2 >= config.r2_threshold:
-        state = GnbState.HIGH_LOAD
+        state = _HIGH_LOAD
     else:
-        state = GnbState.NORMAL
+        state = _NORMAL
     return DetectionVerdict(t_ms=features.window_end_ms, state=state, features=features)
 
 
@@ -118,11 +127,9 @@ class SlidingWindowDetector:
     discarded on ingest. Old timestamps are evicted lazily on evaluation.
     """
 
-    _COUNTED = (MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5)
-
     def __init__(self, config: Optional[DetectorConfig] = None):
         self.config = config or DetectorConfig()
-        self._windows: dict[MsgKind, deque[int]] = {k: deque() for k in self._COUNTED}
+        self._windows: dict[MsgKind, deque[int]] = {k: deque() for k in (_MSG3, _MSG4, _MSG5)}
         self._newest: Optional[int] = None
 
     def ingest(self, event: RrcEvent) -> None:
@@ -145,9 +152,9 @@ class SlidingWindowDetector:
         for window in self._windows.values():
             while window and window[0] <= horizon:
                 window.popleft()
-        n3 = len(self._windows[MsgKind.MSG3])
-        n4 = len(self._windows[MsgKind.MSG4])
-        n5 = len(self._windows[MsgKind.MSG5])
+        n3 = len(self._windows[_MSG3])
+        n4 = len(self._windows[_MSG4])
+        n5 = len(self._windows[_MSG5])
         r1, r2 = compute_ratios(n3, n4, n5, self.config)
         return WindowFeatures(horizon, now, n3, n4, n5, r1, r2)
 
@@ -165,8 +172,7 @@ def run_stream(events: Sequence[RrcEvent],
     """
     config = config or DetectorConfig()
     detector = SlidingWindowDetector(config)
-    t_end = max((e.t for e in events if e.kind in SlidingWindowDetector._COUNTED),
-                default=None)
+    t_end = max((e.t for e in events if e.kind in _COUNTED), default=None)
     if t_end is None or t_end < config.window_ms:
         for event in events:
             detector.ingest(event)

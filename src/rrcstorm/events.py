@@ -1,6 +1,7 @@
 """RRC control-plane event vocabulary shared by simulator, telemetry and detector."""
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -23,6 +24,23 @@ class EstablishmentCause(str, Enum):
     MO_SIGNALLING = "mo_signalling"
     EMERGENCY = "emergency"
     HIGH_PRIORITY_ACCESS = "high_priority_access"
+
+
+_MSG3 = MsgKind.MSG3   # bound once for the per-event check in validate_stream
+
+
+def _require_int_ms(config: object) -> None:
+    """TypeError unless every *_ms field of a config dataclass holds an int.
+
+    A bool is refused although it is an int; None passes only where it is the
+    field's default. A float would make the engine emit float timestamps.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not f.name.endswith("_ms") or (value is None and f.default is None):
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +76,16 @@ def validate_stream(events: Iterable[RrcEvent]) -> Optional[StreamViolation]:
     regression between adjacent events, cause missing on MSG3, cause present
     on a non-MSG3 event.
     """
-    prev_t = None
+    prev_t = 0    # a first event below 0 is negative, never a regression
     for i, ev in enumerate(events):
-        if ev.t < 0:
-            return StreamViolation(i, f"negative timestamp {ev.t}")
-        if prev_t is not None and ev.t < prev_t:
-            return StreamViolation(i, f"timestamp regression {prev_t} -> {ev.t}")
-        if ev.kind is MsgKind.MSG3 and ev.cause is None:
-            return StreamViolation(i, "msg3 without establishment cause")
-        if ev.kind is not MsgKind.MSG3 and ev.cause is not None:
+        t = ev.t
+        if t < prev_t:
+            if t < 0:
+                return StreamViolation(i, f"negative timestamp {t}")
+            return StreamViolation(i, f"timestamp regression {prev_t} -> {t}")
+        if (ev.kind is _MSG3) is (ev.cause is None):
+            if ev.kind is _MSG3:
+                return StreamViolation(i, "msg3 without establishment cause")
             return StreamViolation(i, f"cause set on {ev.kind.value}")
-        prev_t = ev.t
+        prev_t = t
     return None

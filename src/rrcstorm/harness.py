@@ -18,6 +18,8 @@ from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS
 from .detector import DetectionVerdict, DetectorConfig, GnbState, detection_latency, run_stream
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, SimResult, run
 
+_ATTACK, _HIGH_LOAD = GnbState.ATTACK, GnbState.HIGH_LOAD   # bound once, read per verdict
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -112,7 +114,7 @@ def table1_simulated_row(occupancy_pct: int, seeds: Sequence[int],
     per_seed = []   # scalars only: holding each result would keep every trace alive
     for _, r, _ in _seeded_runs(scenario, seeds, gnb):
         if r.drop_time_ms is None:
-            raise RuntimeError(f"flood at {occupancy_pct}% occupancy did not saturate")
+            raise ValueError(f"flood at {occupancy_pct}% occupancy did not saturate")
         per_seed.append((r.drop_time_ms, r.accepted_first_period, r.rejected_first_period,
                          r.availability_first_period_pct, r.duration_reject_ms))
     drops, accepts, rejects, avails, reject_durs = zip(*per_seed)
@@ -131,13 +133,16 @@ def table1_simulated_row(occupancy_pct: int, seeds: Sequence[int],
 
 
 def cmd_table1(seeds: Sequence[int], gnb: Optional[GnbConfig] = None,
-               out_path: Optional[Path] = None) -> list[TableOneRow]:
+               out_path: Optional[Path] = None,
+               rate_per_s: float = presets.ATTACK_RATE_PER_S) -> list[TableOneRow]:
     """Theory next to simulation for each occupancy level, optionally as CSV."""
+    if not seeds:
+        raise ValueError("at least one seed required")
     gnb = gnb or presets.default_gnb()
     rows = []
     for pct in TABLE1_OCCUPANCIES:
-        rows.append(table1_theoretical_row(pct, capacity=gnb.capacity))
-        rows.append(table1_simulated_row(pct, seeds, gnb))
+        rows.append(table1_theoretical_row(pct, capacity=gnb.capacity, rate_per_s=rate_per_s))
+        rows.append(table1_simulated_row(pct, seeds, gnb, rate_per_s))
     if out_path is not None:
         _write_csv(out_path, ["occupancy_pct", "source", "accepted_msg3", "rejected_msg3",
                               "drop_time_s", "accept_duration_s", "reject_duration_s",
@@ -199,8 +204,8 @@ def latency_campaign(config: ExperimentConfig,
             drop_time_ms=result.drop_time_ms,
             latency_ms=latency,
             margin_ms=margin,
-            attack_verdicts=sum(1 for v in verdicts if v.state is GnbState.ATTACK),
-            highload_verdicts=sum(1 for v in verdicts if v.state is GnbState.HIGH_LOAD),
+            attack_verdicts=sum(1 for v in verdicts if v.state is _ATTACK),
+            highload_verdicts=sum(1 for v in verdicts if v.state is _HIGH_LOAD),
         ))
     detected = [r.latency_ms for r in rows if r.latency_ms is not None]
     margins = [r.margin_ms for r in rows if r.margin_ms is not None]

@@ -22,6 +22,10 @@ VERDICT_SUFFIX = ".verdicts.jsonl"
 _KINDS = {k.value: k for k in MsgKind}
 _CAUSES = {c.value: c for c in EstablishmentCause}
 _STATES = {s.value: s for s in GnbState}
+# Member -> its text for the writers, and MSG3 bound once for the reader: a dict
+# read or a module global costs a tenth of .value or MsgKind.MSG3 per record.
+_TEXT = {m: m.value for enum in (MsgKind, EstablishmentCause, GnbState) for m in enum}
+_MSG3 = MsgKind.MSG3
 
 # A trace line exactly as trace_line writes it for an int timestamp and a
 # printable-ASCII ue without '"' or '\', so the JSON text is its own value.
@@ -56,17 +60,17 @@ def _opened(sink: Sink, mode: str) -> Iterator[IO[str]]:
 
 
 def trace_line(event: RrcEvent) -> str:
-    t, ue, cause = event.t, event.ue_ref, event.cause
+    t, kind, ue, cause = event.t, _TEXT[event.kind], event.ue_ref, event.cause
     if type(t) is not int or type(ue) is not str:
-        record = {"t": t, "kind": event.kind.value, "ue": ue}
+        record = {"t": t, "kind": kind, "ue": ue}
         if cause is not None:
-            record["cause"] = cause.value
+            record["cause"] = _TEXT[cause]
         return json.dumps(record, separators=(",", ":"))
     # Same bytes as the json.dumps form above: ensure_ascii encodes ue alone.
     if cause is None:
-        return f'{{"t":{t},"kind":"{event.kind.value}","ue":{encode_basestring_ascii(ue)}}}'
-    return (f'{{"t":{t},"kind":"{event.kind.value}","ue":{encode_basestring_ascii(ue)},'
-            f'"cause":"{cause.value}"}}')
+        return f'{{"t":{t},"kind":"{kind}","ue":{encode_basestring_ascii(ue)}}}'
+    return (f'{{"t":{t},"kind":"{kind}","ue":{encode_basestring_ascii(ue)},'
+            f'"cause":"{_TEXT[cause]}"}}')
 
 
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:
@@ -122,7 +126,7 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
     if not isinstance(ue, str) or not ue:
         raise TraceParseError(line_no, "'ue' must be a non-empty string")
     cause = None
-    if kind is MsgKind.MSG3:
+    if kind is _MSG3:
         if "cause" not in record:
             raise TraceParseError(line_no, "msg3 record without cause")
         cause = _lookup(_CAUSES, record["cause"])
@@ -158,7 +162,7 @@ def verdict_line(verdict: DetectionVerdict) -> str:
     f = verdict.features
     # r1/r2 fixed at 4 decimals so output bytes are platform independent.
     return (
-        f'{{"t":{verdict.t_ms},"state":"{verdict.state.value}",'
+        f'{{"t":{verdict.t_ms},"state":"{_TEXT[verdict.state]}",'
         f'"n_msg3":{f.n_msg3},"n_msg4":{f.n_msg4},"n_msg5":{f.n_msg5},'
         f'"r1":{f.r1:.4f},"r2":{f.r2:.4f}}}'
     )

@@ -1,9 +1,13 @@
-"""Shared test utilities: random valid traces and trace-replay bookkeeping."""
+"""Shared test utilities: random valid traces, trace-replay bookkeeping, and the
+plain multi-pass forms of the one-pass library loops, kept as their references."""
 from __future__ import annotations
 
 import random
+from typing import Iterable, Optional
 
-from rrcstorm import EstablishmentCause, MsgKind, RrcEvent
+from hypothesis import strategies as st
+
+from rrcstorm import EstablishmentCause, MsgKind, RrcEvent, SimResult, StreamViolation
 
 CAUSES = list(EstablishmentCause)
 KINDS = list(MsgKind)
@@ -18,6 +22,33 @@ def random_trace(rng: random.Random, max_events: int = 40) -> list[RrcEvent]:
         kind = rng.choice(KINDS)
         cause = rng.choice(CAUSES) if kind is MsgKind.MSG3 else None
         events.append(RrcEvent(t, kind, f"ue-{rng.getrandbits(16):04x}", cause))
+    return events
+
+
+@st.composite
+def any_order_traces(draw, max_events: int = 40) -> list[RrcEvent]:
+    """random_trace-style streams that may break its rules.
+
+    Timestamps are sorted or left in draw order; up to three Msg3 rejects or
+    releases may come first; at most one event may lose or gain a cause, or
+    get a negative timestamp.
+    """
+    lead = draw(st.lists(st.sampled_from([MsgKind.MSG3_REJECTED, MsgKind.CONTEXT_RELEASED]),
+                         max_size=3))
+    kinds = lead + draw(st.lists(st.sampled_from(KINDS), max_size=max_events))
+    times = draw(st.lists(st.integers(0, 300), min_size=len(kinds), max_size=len(kinds)))
+    if draw(st.booleans()):
+        times.sort()
+    events = [RrcEvent(t, kind, f"ue-{i % 3}",
+                       draw(st.sampled_from(CAUSES)) if kind is MsgKind.MSG3 else None)
+              for i, (t, kind) in enumerate(zip(times, kinds))]
+    if events and draw(st.booleans()):
+        i = draw(st.integers(0, len(events) - 1))
+        t, kind, ue, cause = events[i].t, events[i].kind, events[i].ue_ref, events[i].cause
+        if draw(st.booleans()):
+            events[i] = RrcEvent(-1 - t, kind, ue, cause)
+        else:
+            events[i] = RrcEvent(t, kind, ue, None if cause else draw(st.sampled_from(CAUSES)))
     return events
 
 
@@ -40,3 +71,62 @@ def occupancy_timeline(trace, preconnected: int) -> list[int]:
             holders.discard(event.ue_ref)
         timeline.append(len(holders))
     return timeline
+
+
+def reference_validate_stream(events: Iterable[RrcEvent]) -> Optional[StreamViolation]:
+    """events.validate_stream as four checks per event, in the order it reports them."""
+    prev_t = None
+    for i, ev in enumerate(events):
+        if ev.t < 0:
+            return StreamViolation(i, f"negative timestamp {ev.t}")
+        if prev_t is not None and ev.t < prev_t:
+            return StreamViolation(i, f"timestamp regression {prev_t} -> {ev.t}")
+        if ev.kind is MsgKind.MSG3 and ev.cause is None:
+            return StreamViolation(i, "msg3 without establishment cause")
+        if ev.kind is not MsgKind.MSG3 and ev.cause is not None:
+            return StreamViolation(i, f"cause set on {ev.kind.value}")
+        prev_t = ev.t
+    return None
+
+
+def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
+    """simnet.summarize_trace as one pass over the trace per metric."""
+    n_msg3 = sum(1 for e in trace if e.kind is MsgKind.MSG3)
+    n_rejected = sum(1 for e in trace if e.kind is MsgKind.MSG3_REJECTED)
+
+    first_msg3 = next((e.t for e in trace if e.kind is MsgKind.MSG3), None)
+    first_reject = next((e.t for e in trace if e.kind is MsgKind.MSG3_REJECTED), None)
+
+    drop = duration_accept = duration_reject = None
+    if first_msg3 is not None and first_reject is not None:
+        drop = first_reject - first_msg3
+        duration_accept = drop
+        first_release = next(
+            (e.t for e in trace
+             if e.kind is MsgKind.CONTEXT_RELEASED and e.t > first_reject), None)
+        if first_release is not None:
+            duration_reject = first_release - first_reject
+
+    acc_fp = rej_fp = 0
+    if first_msg3 is not None:
+        end = first_msg3 + waiting_time_ms
+        msg3_fp = sum(1 for e in trace if e.kind is MsgKind.MSG3 and e.t < end)
+        rej_fp = sum(1 for e in trace if e.kind is MsgKind.MSG3_REJECTED and e.t < end)
+        acc_fp = msg3_fp - rej_fp
+    avail_fp = None
+    if acc_fp + rej_fp > 0:
+        avail_fp = 100.0 * acc_fp / (acc_fp + rej_fp)
+
+    return SimResult(
+        trace=trace,
+        accepted_msg3=n_msg3 - n_rejected,
+        rejected_msg3=n_rejected,
+        first_msg3_ms=first_msg3,
+        first_reject_ms=first_reject,
+        drop_time_ms=drop,
+        duration_accept_ms=duration_accept,
+        duration_reject_ms=duration_reject,
+        accepted_first_period=acc_fp,
+        rejected_first_period=rej_fp,
+        availability_first_period_pct=avail_fp,
+    )

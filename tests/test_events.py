@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from rrcstorm import EstablishmentCause, MsgKind, RrcEvent, validate_stream
 
-from helpers import random_trace
+from helpers import any_order_traces, random_trace, reference_validate_stream
 
 
 def msg3(t, ue="u0", cause=EstablishmentCause.MO_DATA):
@@ -69,3 +70,9 @@ def test_ordering_check_is_total(seed):
         events = shuffled
     ordered = all(a.t <= b.t for a, b in zip(events, events[1:]))
     assert (validate_stream(events) is None) == ordered
+
+
+@settings(deadline=None, max_examples=300)
+@given(any_order_traces())
+def test_validate_stream_equals_reference(events):
+    assert validate_stream(events) == reference_validate_stream(events)

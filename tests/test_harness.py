@@ -199,6 +199,35 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "table1.csv").exists()
 
+    def test_table1_attack_rate_reaches_both_rows(self, tmp_path, capsys):
+        assert main(["table1", "--seed", "1", "--out", str(tmp_path / "default")]) == 0
+        assert main(["table1", "--seed", "1", "--attack-rate", "50",
+                     "--out", str(tmp_path / "slow")]) == 0
+        rows = cmd_table1([1], out_path=tmp_path / "harness.csv", rate_per_s=50.0)
+        slow = (tmp_path / "slow" / "table1.csv").read_bytes()
+        assert slow == (tmp_path / "harness.csv").read_bytes()
+        assert slow != (tmp_path / "default" / "table1.csv").read_bytes()
+        rows = {(r.occupancy_pct, r.source): r for r in rows}
+        for pct in (0, 25, 50, 75):
+            free = 16 - round(16 * pct / 100)
+            assert rows[(pct, "theoretical")].drop_time_s == pytest.approx(free / 50)
+            assert abs(rows[(pct, "simulated")].drop_time_s - free / 50) <= 1 / 50
+
+    @pytest.mark.parametrize("flag", [["--scenario", "paper-attack-25"],
+                                      ["--occupancy-pct", "50"], ["--window-ms", "700"],
+                                      ["--hop-ms", "35"], ["--watermark", "9"]])
+    def test_table1_refuses_flags_it_cannot_honour(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--seed", "1", "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
+    def test_table1_flood_too_slow_to_saturate_is_an_error(self, tmp_path, capsys):
+        assert main(["table1", "--attack-rate", "5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: flood at 0% occupancy did not saturate\n")
+
 
 # Pinned metrics CSV bytes: None cells are empty, the aggregate row has 8 cells.
 RUN_METRICS_CSV = {
@@ -298,6 +327,14 @@ GOOD_SCENARIO = {"kind": "attack", "duration_ms": 2000, "attacker_rate_per_s": 1
     ({"scenario": {**GOOD_SCENARIO, "attacker_cause": {}}},
      "scenario: {} is not a valid EstablishmentCause"),
     ({"scenario": {**GOOD_SCENARIO, "duration_ms": 0}}, "scenario: duration_ms must be > 0"),
+    ({"scenario": {**GOOD_SCENARIO, "onset_ms": 1000.5}},
+     "scenario: onset_ms must be an integer, got 1000.5"),
+    ({"scenario": GOOD_SCENARIO, "detector": {"hop_ms": 25.5}},
+     "detector: hop_ms must be an integer, got 25.5"),
+    ({"scenario": GOOD_SCENARIO, "gnb": {"waiting_time_ms": True}},
+     "gnb: waiting_time_ms must be an integer, got True"),
+    ({"scenario": {**GOOD_SCENARIO, "background": {"tick_ms": 100.0}}},
+     "scenario.background: tick_ms must be an integer, got 100.0"),
 ])
 def test_bad_config_file_is_a_located_error(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcstorm import (
     AnalyticInputs,
+    DetectorConfig,
     EstablishmentCause,
     GnbConfig,
     MsgKind,
@@ -16,12 +20,13 @@ from rrcstorm import (
     TruncatedPoissonSpec,
     full_model,
     run,
+    summarize_trace,
     truncated_poisson_sample,
     validate_stream,
 )
-from rrcstorm.presets import normal_scenario
+from rrcstorm.presets import PRESET_NAMES, default_gnb, normal_scenario, scenario_from_preset
 
-from helpers import occupancy_timeline
+from helpers import any_order_traces, occupancy_timeline, reference_summarize_trace
 
 
 def attack(duration_ms=3000, seed=1, rate=132.07, preconnected=0, **kwargs):
@@ -339,3 +344,29 @@ class TestValidation:
     def test_onset_beyond_duration_rejected(self):
         with pytest.raises(ScenarioError):
             run(attack(duration_ms=100, onset_ms=200), GnbConfig())
+
+
+@settings(deadline=None, max_examples=300)
+@given(any_order_traces(), st.integers(1, 400))
+def test_summarize_trace_equals_reference(trace, waiting_time_ms):
+    assert summarize_trace(trace, waiting_time_ms) == reference_summarize_trace(
+        trace, waiting_time_ms)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_summarize_engine_trace_equals_reference(preset):
+    gnb = default_gnb()
+    result = run(scenario_from_preset(preset, 3), gnb)
+    assert result == reference_summarize_trace(result.trace, gnb.waiting_time_ms)
+
+
+MS_CONFIGS = [attack(), GnbConfig(), TruncatedPoissonSpec(), DetectorConfig()]
+
+
+@pytest.mark.parametrize("config,field", [
+    (config, f.name) for config in MS_CONFIGS for f in dataclasses.fields(config)
+    if f.name.endswith("_ms")])
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "25"])
+def test_ms_field_must_be_an_integer(config, field, bad):
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got {bad!r}"):
+        dataclasses.replace(config, **{field: bad})

@@ -19,7 +19,7 @@ from rrcstorm import (
     write_trace,
     write_verdicts,
 )
-from rrcstorm.telemetry import _parse_trace_record, trace_line, verdict_line
+from rrcstorm.telemetry import _TEXT, _parse_trace_record, trace_line, verdict_line
 
 from helpers import random_trace
 
@@ -56,6 +56,31 @@ class TestWriteTrace:
         write_trace(events, buf)
         lines = buf.getvalue().splitlines()
         assert sum(1 for line in lines if '"kind":"msg3_rejected"' in line) == 382
+
+
+class TestMemberText:
+    """The writers take each member's text from telemetry._TEXT; a member missing
+    there would make trace_line or verdict_line raise KeyError."""
+
+    @pytest.mark.parametrize("member", [*MsgKind, *EstablishmentCause, *GnbState])
+    def test_table_holds_every_member_value(self, member):
+        assert type(_TEXT[member]) is str and _TEXT[member] == member.value
+
+    @pytest.mark.parametrize("kind", list(MsgKind))
+    def test_trace_line_writes_kind_value(self, kind):
+        cause = EstablishmentCause.MO_DATA if kind is MsgKind.MSG3 else None
+        assert f'"kind":"{kind.value}"' in trace_line(RrcEvent(0, kind, "u", cause))
+
+    @pytest.mark.parametrize("cause", list(EstablishmentCause))
+    def test_trace_line_writes_cause_value(self, cause):
+        line = trace_line(RrcEvent(0, MsgKind.MSG3, "u", cause))
+        assert line.endswith(f'"cause":"{cause.value}"}}')
+
+    @pytest.mark.parametrize("state", list(GnbState))
+    def test_verdict_line_writes_state_value(self, state):
+        features = WindowFeatures(0, 625, 1, 1, 1, 1.0, 1.0)
+        line = verdict_line(DetectionVerdict(625, state, features))
+        assert f'"state":"{state.value}"' in line
 
 
 class TestReadTrace:
