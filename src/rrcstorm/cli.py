@@ -56,8 +56,12 @@ def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfi
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
+        except ValueError as exc:   # JSONDecodeError, or an int of too many digits
             raise ConfigError(f"{path}: bad JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: bad JSON: nested too deep") from None
     data = _check_keys(data, ("scenario", "gnb", "detector"), str(path))
     if "scenario" not in data:
         raise ConfigError(f"{path}: scenario: missing section")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .events import MsgKind, RrcEvent, _require_int_ms
 
@@ -60,8 +60,7 @@ class DetectorConfig:
             raise ValueError("msg3_watermark must be >= 1")
 
 
-@dataclass(frozen=True)
-class WindowFeatures:
+class WindowFeatures(NamedTuple):
     window_start_ms: int
     window_end_ms: int
     n_msg3: int
@@ -71,8 +70,7 @@ class WindowFeatures:
     r2: float   # Msg5/Msg4 response ratio, clamped to [0, 1]
 
 
-@dataclass(frozen=True)
-class DetectionVerdict:
+class DetectionVerdict(NamedTuple):
     t_ms: int
     state: GnbState
     features: WindowFeatures
@@ -117,7 +115,7 @@ def classify(features: WindowFeatures, config: DetectorConfig) -> DetectionVerdi
         state = _HIGH_LOAD
     else:
         state = _NORMAL
-    return DetectionVerdict(t_ms=features.window_end_ms, state=state, features=features)
+    return DetectionVerdict(features.window_end_ms, state, features)
 
 
 class SlidingWindowDetector:
@@ -133,12 +131,13 @@ class SlidingWindowDetector:
         self._newest: Optional[int] = None
 
     def ingest(self, event: RrcEvent) -> None:
-        if self._newest is not None and event.t < self._newest:
-            raise StreamOrderError(
-                f"event at t={event.t} after t={self._newest}")
-        self._newest = event.t
-        if event.kind in self._windows:
-            self._windows[event.kind].append(event.t)
+        t = event.t
+        if self._newest is not None and t < self._newest:
+            raise StreamOrderError(f"event at t={t} after t={self._newest}")
+        self._newest = t
+        window = self._windows.get(event.kind)
+        if window is not None:
+            window.append(t)
 
     def features(self, now: int) -> WindowFeatures:
         """Counts and ratios over (now - window_ms, now].
@@ -178,9 +177,9 @@ def run_stream(events: Sequence[RrcEvent],
             detector.ingest(event)
         return []
     verdicts = []
-    idx = 0
+    idx, n_events = 0, len(events)
     for now in range(config.window_ms, t_end + 1, config.hop_ms):
-        while idx < len(events) and events[idx].t <= now:
+        while idx < n_events and events[idx].t <= now:
             detector.ingest(events[idx])
             idx += 1
         verdicts.append(detector.evaluate(now))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class MsgKind(str, Enum):
@@ -43,8 +43,7 @@ def _require_int_ms(config: object) -> None:
             raise TypeError(f"{f.name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class RrcEvent:
+class RrcEvent(NamedTuple):
     """One timestamped control-plane message observation.
 
     ``t`` is simulated time in integer milliseconds, starting at 0.

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic, presets, telemetry
-from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS
+from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS, WAITING_TIME_NOMINAL_MS
 from .detector import DetectionVerdict, DetectorConfig, GnbState, detection_latency, run_stream
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, SimResult, run
 
@@ -135,13 +135,20 @@ def table1_simulated_row(occupancy_pct: int, seeds: Sequence[int],
 def cmd_table1(seeds: Sequence[int], gnb: Optional[GnbConfig] = None,
                out_path: Optional[Path] = None,
                rate_per_s: float = presets.ATTACK_RATE_PER_S) -> list[TableOneRow]:
-    """Theory next to simulation for each occupancy level, optionally as CSV."""
+    """Theory next to simulation for each occupancy level, optionally as CSV.
+
+    The theory rows model the simulated gNB: its waiting time plus the offset
+    the reference results show over the nominal one, and the attack rate after
+    the engine's Msg1-per-frame clamp.
+    """
     if not seeds:
         raise ValueError("at least one seed required")
     gnb = gnb or presets.default_gnb()
+    theory_wait_ms = gnb.waiting_time_ms + (WAITING_TIME_EFFECTIVE_MS - WAITING_TIME_NOMINAL_MS)
+    theory_rate = min(rate_per_s, gnb.max_msg1_rate_per_s)
     rows = []
     for pct in TABLE1_OCCUPANCIES:
-        rows.append(table1_theoretical_row(pct, capacity=gnb.capacity, rate_per_s=rate_per_s))
+        rows.append(table1_theoretical_row(pct, gnb.capacity, theory_rate, theory_wait_ms))
         rows.append(table1_simulated_row(pct, seeds, gnb, rate_per_s))
     if out_path is not None:
         _write_csv(out_path, ["occupancy_pct", "source", "accepted_msg3", "rejected_msg3",

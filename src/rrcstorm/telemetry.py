@@ -30,9 +30,10 @@ _MSG3 = MsgKind.MSG3
 # A trace line exactly as trace_line writes it for an int timestamp and a
 # printable-ASCII ue without '"' or '\', so the JSON text is its own value.
 # Only these lines skip json.loads; the t >= prev_t and cause-iff-msg3 checks
-# still run on them, and every other line takes the strict parser.
+# still run on them, and every other line takes the strict parser. A t of more
+# than 18 digits takes it too, as int() refuses over 4300 by default.
 _CANONICAL_TRACE_LINE = re.compile(
-    '{"t":(0|[1-9][0-9]*),'
+    '{"t":(0|[1-9][0-9]{0,17}),'
     f'"kind":"({"|".join(map(re.escape, _KINDS))})",'
     r'"ue":"([ !#-\[\]-~]+)"'
     f'(?:,"cause":"({"|".join(map(re.escape, _CAUSES))})")?'
@@ -51,10 +52,23 @@ class TraceParseError(ValueError):
 
 @contextmanager
 def _opened(sink: Sink, mode: str) -> Iterator[IO[str]]:
-    """Open a path as UTF-8 with LF endings; pass an open stream through unclosed."""
+    """Open a path as UTF-8 with LF endings; pass an open stream through unclosed.
+
+    Bytes in a path that are not UTF-8 raise TraceParseError naming their line.
+    The decoder works in chunks, so the line is found only then, by re-reading.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, mode, encoding="utf-8", newline="\n") as fh:
-            yield fh
+            try:
+                yield fh
+            except UnicodeDecodeError:
+                with open(sink, "rb") as raw:
+                    for line_no, line in enumerate(raw, 1):
+                        try:
+                            line.decode("utf-8")
+                        except UnicodeDecodeError as exc:
+                            raise TraceParseError(line_no, f"not UTF-8: {exc}") from None
+                raise
     else:
         yield sink
 
@@ -94,8 +108,10 @@ def _load_record(line_no: int, line: str) -> dict:
         raise TraceParseError(line_no, "blank line")
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int of too many digits
         raise TraceParseError(line_no, f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise TraceParseError(line_no, "bad JSON: nested too deep") from None
     if not isinstance(record, dict):
         raise TraceParseError(line_no, "record is not an object")
     return record

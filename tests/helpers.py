@@ -1,5 +1,6 @@
-"""Shared test utilities: random valid traces, trace-replay bookkeeping, and the
-plain multi-pass forms of the one-pass library loops, kept as their references."""
+"""Shared test utilities: random valid traces, trace-replay bookkeeping, the plain
+multi-pass forms of the one-pass library loops, kept as their references, and a
+brute-force window counter as the detector's reference."""
 from __future__ import annotations
 
 import random
@@ -7,7 +8,18 @@ from typing import Iterable, Optional
 
 from hypothesis import strategies as st
 
-from rrcstorm import EstablishmentCause, MsgKind, RrcEvent, SimResult, StreamViolation
+from rrcstorm import (
+    DetectionVerdict,
+    DetectorConfig,
+    EstablishmentCause,
+    MsgKind,
+    RrcEvent,
+    SimResult,
+    StreamViolation,
+    WindowFeatures,
+    classify,
+)
+from rrcstorm.detector import compute_ratios
 
 CAUSES = list(EstablishmentCause)
 KINDS = list(MsgKind)
@@ -130,3 +142,18 @@ def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> Si
         rejected_first_period=rej_fp,
         availability_first_period_pct=avail_fp,
     )
+
+
+def reference_run_stream(events: list[RrcEvent], config: DetectorConfig) -> list[DetectionVerdict]:
+    """detector.run_stream by brute force: at each hop, count the Msg3/Msg4/Msg5
+    events in (now - window_ms, now] afresh, in O(len(events)) per hop."""
+    counted = (MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5)
+    t_end = max((e.t for e in events if e.kind in counted), default=-1)
+    verdicts = []
+    for now in range(config.window_ms, t_end + 1, config.hop_ms):
+        start = now - config.window_ms
+        n3, n4, n5 = (sum(1 for e in events if e.kind is kind and start < e.t <= now)
+                      for kind in counted)
+        r1, r2 = compute_ratios(n3, n4, n5, config)
+        verdicts.append(classify(WindowFeatures(start, now, n3, n4, n5, r1, r2), config))
+    return verdicts

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcstorm import (
     DetectionVerdict,
@@ -25,6 +27,8 @@ from rrcstorm.presets import (
     highload_scenario,
     normal_scenario,
 )
+
+from helpers import CAUSES, KINDS, reference_run_stream
 
 
 def features_from_counts(n3, n4, n5, config=None, t=1000):
@@ -247,3 +251,37 @@ class TestConfigValidation:
     def test_watermark_at_least_one(self):
         with pytest.raises(ValueError):
             DetectorConfig(msg3_watermark=0)
+
+
+# Every kind can appear, but the counted ones carry the weight, so that windows
+# cross the watermark and all four states occur.
+WEIGHTED_KINDS = [MsgKind.MSG3] * 6 + [MsgKind.MSG4] * 3 + [MsgKind.MSG5] * 2 + KINDS
+
+
+@st.composite
+def ordered_traces(draw, max_events: int = 80) -> list[RrcEvent]:
+    """Non-decreasing timestamps, a cause on exactly the Msg3s."""
+    n_events = draw(st.integers(0, max_events))   # lists() would favour short traces
+    events, t = [], 0
+    for gap in draw(st.lists(st.integers(0, 20), min_size=n_events, max_size=n_events)):
+        t += gap
+        kind = draw(st.sampled_from(WEIGHTED_KINDS))
+        cause = draw(st.sampled_from(CAUSES)) if kind is MsgKind.MSG3 else None
+        events.append(RrcEvent(t, kind, "ue-0", cause))
+    return events
+
+
+@st.composite
+def detector_configs(draw) -> DetectorConfig:
+    window_ms = draw(st.integers(1, 300))
+    return DetectorConfig(window_ms=window_ms,
+                          hop_ms=draw(st.integers(1, window_ms)),
+                          r1_threshold=draw(st.floats(0.01, 0.99)),
+                          r2_threshold=draw(st.floats(0.01, 0.99)),
+                          msg3_watermark=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_traces(), detector_configs())
+def test_run_stream_equals_brute_force_window_counter(events, config):
+    assert run_stream(events, config) == reference_run_stream(events, config)

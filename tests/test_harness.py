@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from rrcstorm import GnbState, harness, read_trace, read_verdicts
-from rrcstorm.cli import FLAG_FIELDS, main
+from rrcstorm.cli import FLAG_FIELDS, ConfigError, load_config_file, main
 from rrcstorm.harness import (
     ExperimentConfig,
     RunArtifacts,
@@ -223,6 +224,41 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "table1.csv").exists()
 
+    def test_table1_default_csv_bytes_unchanged(self, tmp_path, capsys):
+        assert main(["table1", "--seed", "1", "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / "table1.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "aa12a062700b01e3144eed99d0ba005655eca24f7e39450e8ba53100a9a65714")
+        assert b"0,theoretical,16.0,348.0,0.121,0.121,2.636,4.40\r\n" in csv
+
+    def test_table1_theory_follows_waiting_time(self, tmp_path, capsys):
+        assert main(["table1", "--seed", "1", "--waiting-time-ms", "3000",
+                     "--out", str(tmp_path)]) == 0
+        rows = cmd_table1([1], default_gnb(waiting_time_ms=3000))
+        rows = {(r.occupancy_pct, r.source): r for r in rows}
+        for pct in (0, 25, 50, 75):
+            # The reference offset of the effective over the nominal waiting time, 57 ms.
+            assert rows[(pct, "theoretical")] == table1_theoretical_row(
+                pct, waiting_time_ms=3057.0)
+            gap = (rows[(pct, "theoretical")].reject_duration_s
+                   - rows[(pct, "simulated")].reject_duration_s)
+            assert gap == pytest.approx(0.057, abs=0.001)
+        assert "0,theoretical,16.0,388.0,0.121,0.121,2.936,3.96" in (
+            tmp_path / "table1.csv").read_text()
+
+    def test_table1_theory_follows_the_rate_clamp(self, tmp_path, capsys):
+        assert main(["table1", "--seed", "1", "--attack-rate", "250",
+                     "--out", str(tmp_path)]) == 0
+        rows = cmd_table1([1], rate_per_s=250.0)
+        rows = {(r.occupancy_pct, r.source): r for r in rows}
+        clamped = default_gnb().max_msg1_rate_per_s    # one Msg1 per 7 ms frame
+        for pct in (0, 25, 50, 75):
+            theory = rows[(pct, "theoretical")]
+            assert theory == table1_theoretical_row(pct, rate_per_s=clamped)
+            assert round(theory.drop_time_s, 3) == round(rows[(pct, "simulated")].drop_time_s, 3)
+        assert "0,theoretical,16.0,378.0,0.112,0.112,2.645,4.06" in (
+            tmp_path / "table1.csv").read_text()
+
     def test_table1_flood_too_slow_to_saturate_is_an_error(self, tmp_path, capsys):
         assert main(["table1", "--attack-rate", "5", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
@@ -350,3 +386,44 @@ def test_config_file_that_is_not_json(tmp_path, capsys):
     path.write_text("{scenario")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: bad JSON: ")
+
+
+def test_config_file_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ConfigError, match="nested too deep"):
+        load_config_file(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: bad JSON: nested too deep\n"
+
+
+def test_config_file_int_of_more_digits_than_int_accepts(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": {"seed": %s}}' % ("1" * 5000))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: bad JSON: Exceeds the limit")
+
+
+def test_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"scenario": "\xff"}')
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config_file(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"[" * 100_000 + b"\n", "error: line 1: bad JSON: nested too deep\n"),
+    (b'{"t":0,"kind":"msg1","ue":"a"}\n' * 3000 + b'{"t":0,"kind":"msg1","ue":"\xff"}\n',
+     "error: line 3001: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 27: "
+     "invalid start byte\n"),
+], ids=["nested-too-deep", "not-utf8"])
+def test_replay_of_hostile_trace_is_one_error_line(tmp_path, capsys, content, message):
+    trace = tmp_path / "t.rrctrace.jsonl"
+    trace.write_bytes(content)
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "t.verdicts.jsonl").exists()

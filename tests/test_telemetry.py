@@ -363,3 +363,73 @@ def test_read_verdicts_raises_only_trace_parse_error(text):
         read_verdicts(io.StringIO(text))
     except TraceParseError:
         pass
+
+
+DEEP = "[" * 100_000
+
+
+class TestHostileInput:
+    """Input no writer produces still fails with a located TraceParseError."""
+
+    @pytest.mark.parametrize("read", [read_trace, read_verdicts])
+    def test_nesting_too_deep_for_the_json_parser(self, read):
+        with pytest.raises(TraceParseError) as exc:
+            read(io.StringIO(DEEP + "\n"))
+        assert exc.value.line_no == 1
+        assert exc.value.reason == "bad JSON: nested too deep"
+
+    @pytest.mark.parametrize("line", [
+        '{"t":%s,"kind":"msg1","ue":"a"}' % ("1" * 5000),
+        '{"t":0,"kind":"msg1","ue":"a","x":%s}' % ("1" * 5000),
+    ], ids=["canonical-t", "stray-key"])
+    @pytest.mark.parametrize("read", [read_trace, read_verdicts])
+    def test_int_of_more_digits_than_int_accepts(self, read, line):
+        with pytest.raises(TraceParseError, match="^line 1: bad JSON: Exceeds the limit"):
+            read(io.StringIO(line + "\n"))
+
+    def test_long_timestamp_takes_the_strict_parser(self):
+        t = 10 ** 30
+        [event] = read_trace(io.StringIO('{"t":%d,"kind":"msg1","ue":"a"}\n' % t))
+        assert event == RrcEvent(t, MsgKind.MSG1, "a")
+
+    def test_nesting_too_deep_after_good_lines(self, tmp_path):
+        path = tmp_path / "t.rrctrace.jsonl"
+        path.write_text('{"t":0,"kind":"msg1","ue":"a"}\n' + DEEP + "\n")
+        with pytest.raises(TraceParseError, match="^line 2: bad JSON: nested too deep$"):
+            read_trace(path)
+
+    @staticmethod
+    def _good_then_bad(path, bad: bytes, good: int = 3000):
+        lines = "".join(f'{{"t":{t},"kind":"msg1","ue":"a"}}\n' for t in range(good))
+        path.write_bytes(lines.encode() + bad + b"\n")
+
+    def test_bytes_not_utf8_on_line_3001_after_3000_good_lines(self, tmp_path):
+        path = tmp_path / "t.rrctrace.jsonl"
+        self._good_then_bad(path, b'{"t":3000,"kind":"msg1","ue":"\xff"}')
+        with pytest.raises(TraceParseError) as exc:
+            read_trace(path)
+        assert exc.value.line_no == 3001
+        assert exc.value.reason.startswith("not UTF-8: ")
+        assert "byte 0xff in position 30" in exc.value.reason   # within the line
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b'{"t":0,"kind":"msg1","ue":"\xe2\x82"}'])
+    def test_bytes_not_utf8_on_the_first_or_last_line(self, tmp_path, bad):
+        path = tmp_path / "t.rrctrace.jsonl"
+        path.write_bytes(bad)
+        with pytest.raises(TraceParseError, match="^line 1: not UTF-8: "):
+            read_trace(path)
+        self._good_then_bad(path, bad, good=2)
+        with pytest.raises(TraceParseError, match="^line 3: not UTF-8: "):
+            read_trace(path)
+
+    def test_verdict_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "v.verdicts.jsonl"
+        line = '{"t":650,"state":"normal","n_msg3":0,"n_msg4":0,"n_msg5":0,"r1":1.0,"r2":1.0}\n'
+        path.write_bytes(line.encode() * 5 + b"\x80\n")
+        with pytest.raises(TraceParseError, match="^line 6: not UTF-8: "):
+            read_verdicts(path)
+
+    def test_multibyte_utf8_still_reads(self, tmp_path):
+        path = tmp_path / "t.rrctrace.jsonl"
+        path.write_bytes('{"t":0,"kind":"msg1","ue":"é€"}\n'.encode())
+        assert read_trace(path) == [RrcEvent(0, MsgKind.MSG1, "é€")]
