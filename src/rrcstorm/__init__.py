@@ -21,11 +21,11 @@ from .detector import (
     DetectionVerdict,
     DetectorConfig,
     GnbState,
-    SlidingWindowDetector,
     StreamOrderError,
     WindowFeatures,
     classify,
     detection_latency,
+    iter_verdicts,
     run_stream,
 )
 from .events import (
@@ -51,6 +51,7 @@ from .telemetry import (
     TRACE_SUFFIX,
     VERDICT_SUFFIX,
     TraceParseError,
+    iter_trace,
     read_trace,
     read_verdicts,
     write_trace,

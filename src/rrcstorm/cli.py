@@ -237,8 +237,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if out is None:
         stem = args.trace.name.removesuffix(".rrctrace.jsonl")
         out = args.trace.with_name(stem + ".verdicts.jsonl")
-    verdicts = harness.cmd_replay(args.trace, detector, out)
-    print(f"{len(verdicts)} verdicts -> {out}")
+    count = harness.cmd_replay(args.trace, detector, out)
+    print(f"{count} verdicts -> {out}")
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .events import MsgKind, RrcEvent, _require_int_ms
 
@@ -22,7 +22,7 @@ MIN_MSG3_FOR_R1 = 3
 
 
 class StreamOrderError(ValueError):
-    """An event arrived with a timestamp older than an already-ingested one."""
+    """An event arrived with a timestamp older than the one before it."""
 
 
 class GnbState(str, Enum):
@@ -37,7 +37,6 @@ class GnbState(str, Enum):
 _NORMAL, _ATTACK, _HIGH_LOAD, _OVERLOAD = (GnbState.NORMAL, GnbState.ATTACK,
                                            GnbState.HIGH_LOAD, GnbState.OVERLOAD)
 _MSG3, _MSG4, _MSG5 = MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5
-_COUNTED = frozenset((_MSG3, _MSG4, _MSG5))
 
 
 @dataclass(frozen=True)
@@ -118,72 +117,51 @@ def classify(features: WindowFeatures, config: DetectorConfig) -> DetectionVerdi
     return DetectionVerdict(features.window_end_ms, state, features)
 
 
-class SlidingWindowDetector:
-    """Single-writer streaming state: ingest events, evaluate at chosen instants.
+def iter_verdicts(events: Iterable[RrcEvent],
+                  config: Optional[DetectorConfig] = None) -> Iterator[DetectionVerdict]:
+    """Classify an ordered event stream as it arrives, one verdict per hop.
 
-    Only Msg3/Msg4/Msg5 are retained; annotations and RA messages are
-    discarded on ingest. Old timestamps are evicted lazily on evaluation.
-    """
-
-    def __init__(self, config: Optional[DetectorConfig] = None):
-        self.config = config or DetectorConfig()
-        self._windows: dict[MsgKind, deque[int]] = {k: deque() for k in (_MSG3, _MSG4, _MSG5)}
-        self._newest: Optional[int] = None
-
-    def ingest(self, event: RrcEvent) -> None:
-        t = event.t
-        if self._newest is not None and t < self._newest:
-            raise StreamOrderError(f"event at t={t} after t={self._newest}")
-        self._newest = t
-        window = self._windows.get(event.kind)
-        if window is not None:
-            window.append(t)
-
-    def features(self, now: int) -> WindowFeatures:
-        """Counts and ratios over (now - window_ms, now].
-
-        Evaluation instants must be non-decreasing and not precede already
-        ingested events; eviction is one-way.
-        """
-        if self._newest is not None and now < self._newest:
-            raise ValueError(f"features({now}) precedes ingested t={self._newest}")
-        horizon = now - self.config.window_ms
-        for window in self._windows.values():
-            while window and window[0] <= horizon:
-                window.popleft()
-        n3 = len(self._windows[_MSG3])
-        n4 = len(self._windows[_MSG4])
-        n5 = len(self._windows[_MSG5])
-        r1, r2 = compute_ratios(n3, n4, n5, self.config)
-        return WindowFeatures(horizon, now, n3, n4, n5, r1, r2)
-
-    def evaluate(self, now: int) -> DetectionVerdict:
-        return classify(self.features(now), self.config)
-
-
-def run_stream(events: Sequence[RrcEvent],
-               config: Optional[DetectorConfig] = None) -> list[DetectionVerdict]:
-    """Classify an ordered event stream, one verdict per hop.
-
-    Hops run from window_ms to the last observable (Msg3/4/5) timestamp in
-    hop_ms steps; the result is a deterministic function of (events, config),
-    so live and replayed streams produce identical verdict timelines.
+    Hops run from window_ms to the last observable (Msg3/4/5) timestamp in hop_ms
+    steps; each is yielded once a later counted event arrives, so only the window
+    is held, and live and replayed streams give the same verdicts. An event older
+    than the one before it raises StreamOrderError.
     """
     config = config or DetectorConfig()
-    detector = SlidingWindowDetector(config)
-    t_end = max((e.t for e in events if e.kind in _COUNTED), default=None)
-    if t_end is None or t_end < config.window_ms:
-        for event in events:
-            detector.ingest(event)
-        return []
-    verdicts = []
-    idx, n_events = 0, len(events)
-    for now in range(config.window_ms, t_end + 1, config.hop_ms):
-        while idx < n_events and events[idx].t <= now:
-            detector.ingest(events[idx])
-            idx += 1
-        verdicts.append(detector.evaluate(now))
-    return verdicts
+    windows = w3, w4, w5 = deque(), deque(), deque()
+    append = {_MSG3: w3.append, _MSG4: w4.append, _MSG5: w5.append}.get
+    now, newest, last = config.window_ms, float("-inf"), float("-inf")
+    for event in events:
+        t = event.t
+        if t < newest:
+            raise StreamOrderError(f"event at t={t} after t={newest}")
+        newest = t
+        add = append(event.kind)
+        if add is None:
+            continue
+        while now < t:
+            yield _verdict(now, windows, config)
+            now += config.hop_ms
+        add(t)
+        last = t
+    if now <= last:   # the hop at the last counted event; every earlier one is out
+        yield _verdict(now, windows, config)
+
+
+def _verdict(now: int, windows: tuple[deque, ...], config: DetectorConfig) -> DetectionVerdict:
+    """Evict what left the window (now - window_ms, now], then classify it."""
+    horizon = now - config.window_ms
+    for window in windows:
+        while window and window[0] <= horizon:
+            window.popleft()
+    n3, n4, n5 = map(len, windows)
+    r1, r2 = compute_ratios(n3, n4, n5, config)
+    return classify(WindowFeatures(horizon, now, n3, n4, n5, r1, r2), config)
+
+
+def run_stream(events: Iterable[RrcEvent],
+               config: Optional[DetectorConfig] = None) -> list[DetectionVerdict]:
+    """iter_verdicts as a list."""
+    return list(iter_verdicts(events, config))
 
 
 def detection_latency(verdicts: Iterable[DetectionVerdict],

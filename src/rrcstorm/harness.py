@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic, presets, telemetry
 from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS, WAITING_TIME_NOMINAL_MS
-from .detector import DetectionVerdict, DetectorConfig, GnbState, detection_latency, run_stream
+from .detector import (DetectionVerdict, DetectorConfig, GnbState, detection_latency,
+                       iter_verdicts, run_stream)
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, SimResult, run
 
 _ATTACK, _HIGH_LOAD = GnbState.ATTACK, GnbState.HIGH_LOAD   # bound once, read per verdict
@@ -281,11 +282,8 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(trace_paths, verdict_paths, metrics_path, availability)
 
 
-def cmd_replay(trace_path: Path, detector: DetectorConfig,
-               out_path: Path) -> list[DetectionVerdict]:
-    """Re-run the detector offline over a recorded trace."""
-    events = telemetry.read_trace(trace_path)
-    verdicts = run_stream(events, detector)
+def cmd_replay(trace_path: Path, detector: DetectorConfig, out_path: Path) -> int:
+    """Stream a recorded trace through the detector to a verdict file; returns the count."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    telemetry.write_verdicts(verdicts, out_path)
-    return verdicts
+    return telemetry.write_verdicts(
+        iter_verdicts(telemetry.iter_trace(trace_path), detector), out_path)

@@ -7,8 +7,10 @@ not have produced is rejected with its line number.
 from __future__ import annotations
 
 import json
+import os
 import re
 from contextlib import contextmanager
+from io import TextIOBase
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
@@ -41,6 +43,7 @@ _CANONICAL_TRACE_LINE = re.compile(
 )
 
 Sink = Union[str, Path, IO[str]]
+Source = Union[str, Path, IO[str], IO[bytes]]
 
 
 class TraceParseError(ValueError):
@@ -51,26 +54,17 @@ class TraceParseError(ValueError):
 
 
 @contextmanager
-def _opened(sink: Sink, mode: str) -> Iterator[IO[str]]:
-    """Open a path as UTF-8 with LF endings; pass an open stream through unclosed.
+def _text_lines(source: Source) -> Iterator[Iterable[str]]:
+    """The LF-terminated lines of a path or stream as text.
 
-    Bytes in a path that are not UTF-8 raise TraceParseError naming their line.
-    The decoder works in chunks, so the line is found only then, by re-reading.
+    Bytes are decoded line by line, so a bad byte raises after the lines before it;
+    a text stream decodes in chunks, and may raise early.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, mode, encoding="utf-8", newline="\n") as fh:
-            try:
-                yield fh
-            except UnicodeDecodeError:
-                with open(sink, "rb") as raw:
-                    for line_no, line in enumerate(raw, 1):
-                        try:
-                            line.decode("utf-8")
-                        except UnicodeDecodeError as exc:
-                            raise TraceParseError(line_no, f"not UTF-8: {exc}") from None
-                raise
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield map(bytes.decode, fh)
     else:
-        yield sink
+        yield source if isinstance(source, TextIOBase) else map(bytes.decode, source)
 
 
 def trace_line(event: RrcEvent) -> str:
@@ -88,11 +82,31 @@ def trace_line(event: RrcEvent) -> str:
 
 
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:
-    """Stream one LF-terminated line per item to sink; returns the line count."""
+    """Stream one LF-terminated line per item to sink; returns the line count.
+
+    A file gets the lines through <path>.part, renamed only once all are written;
+    a device or FIFO (/dev/stdout) is written in place, as a rename would replace it.
+    """
+    if not isinstance(sink, (str, Path)):
+        return _write_to(sink, lines)
+    if os.path.exists(sink) and not os.path.isfile(sink):
+        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+            return _write_to(fh, lines)
+    part = Path(f"{sink}.part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            count = _write_to(fh, lines)
+        part.replace(sink)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return count
+
+
+def _write_to(fh: IO[str], lines: Iterable[str]) -> int:
     count = 0
-    with _opened(sink, "w") as fh:
-        for count, line in enumerate(lines, 1):
-            fh.write(line + "\n")
+    for count, line in enumerate(lines, 1):
+        fh.write(line + "\n")
     return count
 
 
@@ -153,25 +167,31 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
     return RrcEvent(t, kind, ue, cause)
 
 
-def read_trace(source: Sink) -> list[RrcEvent]:
-    """Parse a trace file back into events; round-trips write_trace exactly."""
+def iter_trace(source: Source) -> Iterator[RrcEvent]:
+    """Parse a trace line by line, errors in file order; round-trips write_trace."""
     match = _CANONICAL_TRACE_LINE.match
-    with _opened(source, "r") as fh:
-        events = []
-        prev_t = 0
-        for line_no, line in enumerate(fh, 1):
-            m = match(line)
-            if m is not None:
-                t, kind, ue, cause = m.groups()
-                t = int(t)
-                if t >= prev_t and (cause is not None) == (kind == "msg3"):
-                    events.append(RrcEvent(t, _KINDS[kind], ue, _CAUSES.get(cause)))
-                    prev_t = t
-                    continue
-            event = _parse_trace_record(line_no, line, prev_t)
-            prev_t = event.t
-            events.append(event)
-        return events
+    with _text_lines(source) as lines:
+        prev_t, line_no = 0, 0
+        try:
+            for line_no, line in enumerate(lines, 1):
+                m = match(line)
+                if m is not None:
+                    t, kind, ue, cause = m.groups()
+                    t = int(t)
+                    if t >= prev_t and (cause is not None) == (kind == "msg3"):
+                        prev_t = t
+                        yield RrcEvent(t, _KINDS[kind], ue, _CAUSES.get(cause))
+                        continue
+                event = _parse_trace_record(line_no, line, prev_t)
+                prev_t = event.t
+                yield event
+        except UnicodeDecodeError as exc:   # raised on getting line line_no + 1
+            raise TraceParseError(line_no + 1, f"not UTF-8: {exc}") from None
+
+
+def read_trace(source: Source) -> list[RrcEvent]:
+    """iter_trace as a list."""
+    return list(iter_trace(source))
 
 
 def verdict_line(verdict: DetectionVerdict) -> str:
@@ -191,34 +211,37 @@ def write_verdicts(verdicts: Iterable[DetectionVerdict], sink: Sink) -> int:
 _VERDICT_KEYS = {"t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"}
 
 
-def read_verdicts(source: Sink, window_ms: int = 625) -> list[DetectionVerdict]:
+def read_verdicts(source: Source, window_ms: int = 625) -> list[DetectionVerdict]:
     """Parse a verdict file; ratios come back rounded to their 4 decimals."""
-    with _opened(source, "r") as fh:
-        verdicts = []
-        for line_no, line in enumerate(fh, 1):
-            record = _load_record(line_no, line)
-            if set(record) != _VERDICT_KEYS:
-                raise TraceParseError(line_no, f"keys must be {sorted(_VERDICT_KEYS)}")
-            # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
-            for key in ("t", "n_msg3", "n_msg4", "n_msg5"):
-                if type(record[key]) is not int:
-                    raise TraceParseError(
-                        line_no, f"'{key}' must be an integer, got {record[key]!r}")
-            for key in ("r1", "r2"):
-                if type(record[key]) not in (int, float):
-                    raise TraceParseError(
-                        line_no, f"'{key}' must be a number, got {record[key]!r}")
-            state = _lookup(_STATES, record["state"])
-            if state is None:
-                raise TraceParseError(line_no, f"unknown state {record['state']!r}")
-            features = WindowFeatures(
-                window_start_ms=record["t"] - window_ms,
-                window_end_ms=record["t"],
-                n_msg3=record["n_msg3"],
-                n_msg4=record["n_msg4"],
-                n_msg5=record["n_msg5"],
-                r1=record["r1"],
-                r2=record["r2"],
-            )
-            verdicts.append(DetectionVerdict(record["t"], state, features))
-        return verdicts
+    verdicts, line_no = [], 0
+    with _text_lines(source) as lines:
+        try:
+            for line_no, line in enumerate(lines, 1):
+                record = _load_record(line_no, line)
+                if set(record) != _VERDICT_KEYS:
+                    raise TraceParseError(line_no, f"keys must be {sorted(_VERDICT_KEYS)}")
+                # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
+                for key in ("t", "n_msg3", "n_msg4", "n_msg5"):
+                    if type(record[key]) is not int:
+                        raise TraceParseError(
+                            line_no, f"'{key}' must be an integer, got {record[key]!r}")
+                for key in ("r1", "r2"):
+                    if type(record[key]) not in (int, float):
+                        raise TraceParseError(
+                            line_no, f"'{key}' must be a number, got {record[key]!r}")
+                state = _lookup(_STATES, record["state"])
+                if state is None:
+                    raise TraceParseError(line_no, f"unknown state {record['state']!r}")
+                features = WindowFeatures(
+                    window_start_ms=record["t"] - window_ms,
+                    window_end_ms=record["t"],
+                    n_msg3=record["n_msg3"],
+                    n_msg4=record["n_msg4"],
+                    n_msg5=record["n_msg5"],
+                    r1=record["r1"],
+                    r2=record["r2"],
+                )
+                verdicts.append(DetectionVerdict(record["t"], state, features))
+        except UnicodeDecodeError as exc:   # raised on getting line line_no + 1
+            raise TraceParseError(line_no + 1, f"not UTF-8: {exc}") from None
+    return verdicts

@@ -12,11 +12,11 @@ from rrcstorm import (
     GnbState,
     MsgKind,
     RrcEvent,
-    SlidingWindowDetector,
     StreamOrderError,
     WindowFeatures,
     classify,
     detection_latency,
+    iter_verdicts,
     run,
     run_stream,
 )
@@ -120,37 +120,38 @@ class TestClassify:
             assert verdict.state is GnbState.NORMAL
 
 
+def msg3(t):
+    return RrcEvent(t, MsgKind.MSG3, "u", EstablishmentCause.MO_DATA)
+
+
 class TestIngest:
     def test_counted_kind_retained(self):
-        detector = SlidingWindowDetector()
-        detector.ingest(RrcEvent(0, MsgKind.MSG3, "u", EstablishmentCause.MO_DATA))
-        assert detector.features(0).n_msg3 == 1
+        [verdict] = iter_verdicts(iter([msg3(625)]))
+        assert verdict.features.n_msg3 == 1
 
     def test_annotations_invisible(self):
-        detector = SlidingWindowDetector()
-        detector.ingest(RrcEvent(0, MsgKind.MSG3_REJECTED, "u"))
-        detector.ingest(RrcEvent(1, MsgKind.CONTEXT_RELEASED, "u"))
-        detector.ingest(RrcEvent(2, MsgKind.MSG1, "u"))
-        features = detector.features(2)
+        events = [RrcEvent(1, MsgKind.MSG3_REJECTED, "u"),
+                  RrcEvent(2, MsgKind.CONTEXT_RELEASED, "u"),
+                  RrcEvent(3, MsgKind.MSG1, "u"),
+                  RrcEvent(650, MsgKind.MSG5, "u")]   # closes the hop at 625
+        features = next(iter_verdicts(iter(events))).features
+        assert features.window_end_ms == 625
         assert (features.n_msg3, features.n_msg4, features.n_msg5) == (0, 0, 0)
 
     def test_out_of_order_rejected(self):
-        detector = SlidingWindowDetector()
-        detector.ingest(RrcEvent(2000, MsgKind.MSG3, "u", EstablishmentCause.MO_DATA))
         with pytest.raises(StreamOrderError):
-            detector.ingest(RrcEvent(1000, MsgKind.MSG3, "u", EstablishmentCause.MO_DATA))
+            list(iter_verdicts(iter([msg3(2000), msg3(1000)])))
 
     def test_window_eviction_is_exclusive_left_inclusive_right(self):
-        config = DetectorConfig(window_ms=625)
-        detector = SlidingWindowDetector(config)
-        detector.ingest(RrcEvent(0, MsgKind.MSG4, "u"))
-        detector.ingest(RrcEvent(625, MsgKind.MSG4, "u"))
+        config = DetectorConfig(window_ms=625, hop_ms=1)
+        events = [RrcEvent(0, MsgKind.MSG4, "u"), RrcEvent(625, MsgKind.MSG4, "u")]
         # window is (0, 625]: t=0 falls out, t=625 stays
-        assert detector.features(625).n_msg4 == 1
-        detector2 = SlidingWindowDetector(config)
-        detector2.ingest(RrcEvent(1, MsgKind.MSG4, "u"))
-        assert detector2.features(625).n_msg4 == 1
-        assert detector2.features(626).n_msg4 == 0
+        [verdict] = iter_verdicts(iter(events), config)
+        assert verdict.features.n_msg4 == 1
+        events2 = [RrcEvent(1, MsgKind.MSG4, "u"), RrcEvent(626, MsgKind.MSG5, "u")]
+        at_625, at_626 = iter_verdicts(iter(events2), config)
+        assert at_625.features.n_msg4 == 1
+        assert at_626.features.n_msg4 == 0
 
 
 class TestRunStream:
@@ -215,6 +216,19 @@ class TestRunStream:
         ]
         with pytest.raises(StreamOrderError):
             run_stream(events, DetectorConfig())
+
+    def test_regression_after_the_last_hop_is_caught(self):
+        # 750 < 800 comes after the last counted event, where no hop ingests it
+        events = [msg3(700), RrcEvent(800, MsgKind.MSG1, "u"), RrcEvent(750, MsgKind.MSG1, "u")]
+        with pytest.raises(StreamOrderError, match="t=750 after t=800"):
+            run_stream(events, DetectorConfig())
+
+    def test_verdicts_before_a_regression_are_yielded(self):
+        config = DetectorConfig(window_ms=100, hop_ms=50)
+        verdicts = iter_verdicts(iter([msg3(100), msg3(200), msg3(150)]), config)
+        assert [next(verdicts).t_ms for _ in range(2)] == [100, 150]
+        with pytest.raises(StreamOrderError, match="t=150 after t=200"):
+            next(verdicts)
 
 
 class TestDetectionLatency:
@@ -285,3 +299,9 @@ def detector_configs(draw) -> DetectorConfig:
 @given(ordered_traces(), detector_configs())
 def test_run_stream_equals_brute_force_window_counter(events, config):
     assert run_stream(events, config) == reference_run_stream(events, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_traces(), detector_configs())
+def test_iter_verdicts_of_an_iterator_equals_brute_force_window_counter(events, config):
+    assert list(iter_verdicts(iter(events), config)) == reference_run_stream(events, config)

@@ -1,10 +1,19 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from rrcstorm import GnbState, harness, read_trace, read_verdicts
+from rrcstorm import (
+    GnbState,
+    TraceParseError,
+    harness,
+    read_trace,
+    read_verdicts,
+    run,
+    write_trace,
+)
 from rrcstorm.cli import FLAG_FIELDS, ConfigError, load_config_file, main
 from rrcstorm.harness import (
     ExperimentConfig,
@@ -142,9 +151,40 @@ class TestReplay:
         trace = tmp_path / "empty.rrctrace.jsonl"
         trace.write_text("")
         out = tmp_path / "empty.verdicts.jsonl"
-        verdicts = cmd_replay(trace, default_detector(), out)
-        assert verdicts == []
+        assert cmd_replay(trace, default_detector(), out) == 0
         assert out.read_text() == ""
+
+    def test_corrupt_last_line_leaves_no_verdict_file(self, tmp_path):
+        artifacts = cmd_run(experiment(attack_scenario(0, seed=0, duration_ms=2500),
+                                       seeds=[5], out_dir=tmp_path))
+        trace = artifacts.trace_paths[0]
+        with open(trace, "ab") as fh:
+            fh.write(b"{bad json\n")
+        out = tmp_path / "replayed.verdicts.jsonl"
+        lines = len(trace.read_bytes().splitlines())
+        with pytest.raises(TraceParseError, match=f"^line {lines}: bad JSON"):
+            cmd_replay(trace, default_detector(), out)
+        assert artifacts.verdict_paths[0].read_text()   # verdicts came before the bad line
+        assert not out.exists()
+        assert not Path(f"{out}.part").exists()
+
+    def test_replay_holds_only_the_detector_window(self, tmp_path):
+        result = run(attack_scenario(0, seed=1, duration_ms=25_000), default_gnb())
+        trace = tmp_path / "long.rrctrace.jsonl"
+        write_trace(result.trace, trace)
+        out = tmp_path / "long.verdicts.jsonl"
+        tracemalloc.start()
+        try:
+            read_trace(trace)
+            _, as_list = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            count = cmd_replay(trace, default_detector(), out)
+            _, streaming = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(read_verdicts(out)) > 0
+        assert as_list > 1_000_000
+        assert streaming < 256_000
 
 
 class TestCli:
@@ -328,7 +368,7 @@ def test_override_table_entry_sets_its_field(tmp_path, capsys, monkeypatch, cmd,
 
     def fake_replay(trace_path, detector, out_path):
         seen.update(detector=detector)
-        return []
+        return 0
 
     monkeypatch.setattr(harness, "cmd_run", fake_run)
     monkeypatch.setattr(harness, "cmd_replay", fake_replay)

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import stat
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,19 @@ class TestVerdicts:
         with pytest.raises(TraceParseError):
             read_verdicts(io.StringIO(line))
 
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "v.verdicts.jsonl"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert write_verdicts([self._verdict()], fifo) == 1
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [(verdict_line(self._verdict()) + "\n").encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)   # a rename would have replaced it
+        assert not (tmp_path / "v.verdicts.jsonl.part").exists()
+
     def test_file_round_trip_lf_endings(self, tmp_path):
         path = tmp_path / "x.verdicts.jsonl"
         write_verdicts([self._verdict()], path)
@@ -365,6 +381,24 @@ def test_read_verdicts_raises_only_trace_parse_error(text):
         pass
 
 
+# One line each reader accepts.
+GOOD_LINE = {read_trace: '{"t":0,"kind":"msg1","ue":"a"}',
+             read_verdicts: '{"t":650,"state":"normal","n_msg3":0,"n_msg4":0,'
+                            '"n_msg5":0,"r1":1.0,"r2":1.0}'}
+
+
+@settings(deadline=None)
+@given(st.lists(st.binary(max_size=40)
+                | st.sampled_from([line.encode() for line in GOOD_LINE.values()]),
+                max_size=6).map(b"\n".join))
+def test_readers_of_any_bytes_raise_only_trace_parse_error(content):
+    for read in (read_trace, read_verdicts):
+        try:
+            read(io.BytesIO(content))
+        except TraceParseError:
+            pass
+
+
 DEEP = "[" * 100_000
 
 
@@ -428,6 +462,26 @@ class TestHostileInput:
         path.write_bytes(line.encode() * 5 + b"\x80\n")
         with pytest.raises(TraceParseError, match="^line 6: not UTF-8: "):
             read_verdicts(path)
+
+    @pytest.mark.parametrize("read", [read_trace, read_verdicts])
+    def test_earlier_malformed_line_is_reported_before_a_later_bad_byte(self, tmp_path, read):
+        content = GOOD_LINE[read].encode() + b"\n{bad json\n\xff\n"
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(content)
+        for source in (path, io.BytesIO(content)):
+            with pytest.raises(TraceParseError, match="^line 2: bad JSON"):
+                read(source)
+
+    @pytest.mark.parametrize("read", [read_trace, read_verdicts])
+    def test_bad_byte_in_a_stream_is_a_trace_parse_error(self, tmp_path, read):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes((GOOD_LINE[read] + "\n").encode() * 4 + b'"\xff"\n')
+        with open(path, "rb") as fh:   # decoded line by line: the exact line
+            with pytest.raises(TraceParseError, match="^line 5: not UTF-8: .* position 1: "):
+                read(fh)
+        with open(path, encoding="utf-8") as fh:   # decoded in chunks: at or before it
+            with pytest.raises(TraceParseError, match="^line 1: not UTF-8: "):
+                read(fh)
 
     def test_multibyte_utf8_still_reads(self, tmp_path):
         path = tmp_path / "t.rrctrace.jsonl"
