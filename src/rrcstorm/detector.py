@@ -37,6 +37,7 @@ class GnbState(str, Enum):
 _NORMAL, _ATTACK, _HIGH_LOAD, _OVERLOAD = (GnbState.NORMAL, GnbState.ATTACK,
                                            GnbState.HIGH_LOAD, GnbState.OVERLOAD)
 _MSG3, _MSG4, _MSG5 = MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5
+_new = tuple.__new__   # what a NamedTuple(...) call does, minus the frame of its __new__
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,7 @@ def iter_verdicts(events: Iterable[RrcEvent],
     """
     config = config or DetectorConfig()
     windows = w3, w4, w5 = deque(), deque(), deque()
+    decided = {}   # (n_msg3, n_msg4, n_msg5) -> (r1, r2, state): one entry per triple seen
     append = {_MSG3: w3.append, _MSG4: w4.append, _MSG5: w5.append}.get
     now, newest, last = config.window_ms, float("-inf"), float("-inf")
     for event in events:
@@ -139,23 +141,31 @@ def iter_verdicts(events: Iterable[RrcEvent],
         if add is None:
             continue
         while now < t:
-            yield _verdict(now, windows, config)
+            yield _verdict(now, windows, config, decided)
             now += config.hop_ms
         add(t)
         last = t
     if now <= last:   # the hop at the last counted event; every earlier one is out
-        yield _verdict(now, windows, config)
+        yield _verdict(now, windows, config, decided)
 
 
-def _verdict(now: int, windows: tuple[deque, ...], config: DetectorConfig) -> DetectionVerdict:
-    """Evict what left the window (now - window_ms, now], then classify it."""
+def _verdict(now: int, windows: tuple[deque, ...], config: DetectorConfig,
+             decided: dict) -> DetectionVerdict:
+    """Evict what left (now - window_ms, now]; classify a counts triple at its first hop only."""
     horizon = now - config.window_ms
     for window in windows:
         while window and window[0] <= horizon:
             window.popleft()
-    n3, n4, n5 = map(len, windows)
-    r1, r2 = compute_ratios(n3, n4, n5, config)
-    return classify(WindowFeatures(horizon, now, n3, n4, n5, r1, r2), config)
+    w3, w4, w5 = windows
+    counts = n3, n4, n5 = len(w3), len(w4), len(w5)
+    try:
+        r1, r2, state = decided[counts]
+    except KeyError:
+        r1, r2 = compute_ratios(n3, n4, n5, config)
+        state = classify(WindowFeatures(horizon, now, n3, n4, n5, r1, r2), config).state
+        decided[counts] = r1, r2, state
+    features = _new(WindowFeatures, (horizon, now, n3, n4, n5, r1, r2))
+    return _new(DetectionVerdict, (now, state, features))
 
 
 def run_stream(events: Iterable[RrcEvent],

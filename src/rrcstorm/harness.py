@@ -284,6 +284,8 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
 
 def cmd_replay(trace_path: Path, detector: DetectorConfig, out_path: Path) -> int:
     """Stream a recorded trace through the detector to a verdict file; returns the count."""
+    if out_path.exists() and out_path.samefile(trace_path):
+        raise ValueError(f"verdict file {out_path} is the trace being replayed")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     return telemetry.write_verdicts(
         iter_verdicts(telemetry.iter_trace(trace_path), detector), out_path)

@@ -8,11 +8,11 @@ bit-reproducible for a given (scenario, gnb, seed) triple.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .analytic import _round_half_up
@@ -24,6 +24,7 @@ _MSG1, _MSG2, _MSG3, _MSG4, _MSG5 = (MsgKind.MSG1, MsgKind.MSG2, MsgKind.MSG3,
                                      MsgKind.MSG4, MsgKind.MSG5)
 _MSG3_REJECTED, _CONTEXT_RELEASED = MsgKind.MSG3_REJECTED, MsgKind.CONTEXT_RELEASED
 _MO_DATA = EstablishmentCause.MO_DATA
+_new = tuple.__new__   # what RrcEvent(...) does, minus the frame of its generated __new__
 
 
 class ScenarioError(ValueError):
@@ -200,16 +201,13 @@ class ResourcePool:
     def __len__(self) -> int:
         return len(self._contexts)
 
-    def __contains__(self, ue_ref: str) -> bool:
-        return ue_ref in self._contexts
-
     @property
     def is_full(self) -> bool:
         return len(self._contexts) >= self.capacity
 
     def admit(self, ue_ref: str, now: int, waiting_time_ms: int) -> Optional[int]:
         """Allocate a pending context; returns its generation or None if full."""
-        if self.is_full or ue_ref in self._contexts:
+        if len(self._contexts) >= self.capacity or ue_ref in self._contexts:
             return None
         self._generation += 1
         self._contexts[ue_ref] = _Context(True, now + waiting_time_ms, self._generation)
@@ -276,7 +274,7 @@ class _Engine:
 
     def schedule(self, t: int, fn: Callable[..., None], *args) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        heappush(self._heap, (t, self._seq, fn, args))
 
     def _periodic(self, n: int, start: int, period_ms: float,
                   action: Callable[[], None]) -> None:
@@ -285,29 +283,38 @@ class _Engine:
         action()
         t_next = start + _round_half_up((n + 1) * period_ms)
         if t_next < self.scenario.duration_ms:
-            self.schedule(t_next, self._periodic, n + 1, start, period_ms, action)
+            self._seq += 1
+            heappush(self._heap, (t_next, self._seq, self._periodic,
+                                  (n + 1, start, period_ms, action)))
 
     def emit(self, kind: MsgKind, ue_ref: str,
              cause: Optional[EstablishmentCause] = None) -> None:
-        self.trace.append(RrcEvent(self.now, kind, ue_ref, cause))
+        self.trace.append(_new(RrcEvent, (self.now, kind, ue_ref, cause)))
 
     def _fresh_ref(self, prefix: str) -> str:
         # Redraw on a live ref: admit() would reject it although the pool has room.
+        contexts = self.pool._contexts
         while True:
             ue_ref = f"{prefix}-{self.rng.getrandbits(32):08x}"
-            if ue_ref not in self.pool:
+            if ue_ref not in contexts:
                 return ue_ref
 
     # -- gNB --------------------------------------------------------------
 
-    def gnb_on_msg3(self, ue_ref: str) -> bool:
-        """Admit or reject an incoming Msg3; schedules Msg4 and expiry on admit."""
-        generation = self.pool.admit(ue_ref, self.now, self.gnb.waiting_time_ms)
+    def _ra_and_msg3(self, ue_ref: str, cause: EstablishmentCause) -> bool:
+        """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and expiry scheduled."""
+        now, gnb, trace = self.now, self.gnb, self.trace
+        trace.extend((_new(RrcEvent, (now, _MSG1, ue_ref, None)),
+                      _new(RrcEvent, (now, _MSG2, ue_ref, None)),
+                      _new(RrcEvent, (now, _MSG3, ue_ref, cause))))
+        generation = self.pool.admit(ue_ref, now, gnb.waiting_time_ms)
         if generation is None:
-            self.emit(_MSG3_REJECTED, ue_ref)
+            trace.append(_new(RrcEvent, (now, _MSG3_REJECTED, ue_ref, None)))
             return False
-        self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self.emit, _MSG4, ue_ref)
-        self.schedule(self.now + self.gnb.waiting_time_ms, self._gnb_expire, ue_ref, generation)
+        seq = self._seq = self._seq + 2
+        heap = self._heap
+        heappush(heap, (now + gnb.msg3_to_msg4_delay_ms, seq - 1, self.emit, (_MSG4, ue_ref)))
+        heappush(heap, (now + gnb.waiting_time_ms, seq, self._gnb_expire, (ue_ref, generation)))
         return True
 
     def _gnb_expire(self, ue_ref: str, generation: int) -> None:
@@ -318,22 +325,13 @@ class _Engine:
 
     def _attacker_cycle(self) -> None:
         # One RA loop then Msg3; Msg4 and T300 are ignored, no Msg5 ever.
-        ue_ref = self._fresh_ref("mue")
-        self.emit(_MSG1, ue_ref)
-        self.emit(_MSG2, ue_ref)
-        self.emit(_MSG3, ue_ref, self.scenario.attacker_cause)
-        self.gnb_on_msg3(ue_ref)
+        self._ra_and_msg3(self._fresh_ref("mue"), self.scenario.attacker_cause)
 
     # -- benign UEs -------------------------------------------------------
 
     def _benign_attempt(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        if ue.done:
-            return
-        self.emit(_MSG1, ue.ue_ref)
-        self.emit(_MSG2, ue.ue_ref)
-        self.emit(_MSG3, ue.ue_ref, cause)
-        accepted = self.gnb_on_msg3(ue.ue_ref)
-        if accepted:
+        # Callers never pass a done UE: it is fresh, or _benign_t300 checked it.
+        if self._ra_and_msg3(ue.ue_ref, cause):
             self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4, ue)
         self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
 
@@ -390,8 +388,9 @@ class _Engine:
             self.schedule(0, self._periodic, 0, 0, self.scenario.background.tick_ms,
                           self._background_tick)
 
-        while self._heap:
-            t, _, fn, args = heapq.heappop(self._heap)
+        heap, pop = self._heap, heappop
+        while heap:
+            t, _, fn, args = pop(heap)
             assert t >= self.now, "event queue regressed"
             self.now = t
             fn(*args)

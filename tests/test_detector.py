@@ -230,6 +230,22 @@ class TestRunStream:
         with pytest.raises(StreamOrderError, match="t=150 after t=200"):
             next(verdicts)
 
+    def test_streams_advanced_in_turns_keep_their_own_decisions(self):
+        # The same window counts classified under two rules: a decision shared
+        # between calls, or remembered by counts alone, would leak across streams.
+        trace = run(highload_scenario(seed=4), GnbConfig()).trace
+        configs = [default_detector(),
+                   DetectorConfig(window_ms=625, hop_ms=25, r1_threshold=0.9, msg3_watermark=40)]
+        alone = [run_stream(trace, config) for config in configs]
+        assert [v.features for v in alone[0]] == [v.features for v in alone[1]]
+        assert [v.state for v in alone[0]] != [v.state for v in alone[1]]
+        streams = [iter_verdicts(iter(trace), config) for config in configs]
+        in_turns = [[], []]
+        for pair in zip(*streams):
+            for verdicts, verdict in zip(in_turns, pair):
+                verdicts.append(verdict)
+        assert in_turns == alone
+
 
 class TestDetectionLatency:
     def _verdict(self, t, state):

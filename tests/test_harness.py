@@ -168,6 +168,22 @@ class TestReplay:
         assert not out.exists()
         assert not Path(f"{out}.part").exists()
 
+    @pytest.mark.parametrize("alias", ["same-path", "symlink", "hard-link"])
+    def test_replay_onto_its_own_trace_is_refused(self, tmp_path, capsys, alias):
+        trace = tmp_path / "t.rrctrace.jsonl"
+        write_trace(run(attack_scenario(0, seed=1, duration_ms=1500), default_gnb()).trace, trace)
+        before = trace.read_bytes()
+        out = trace if alias == "same-path" else tmp_path / "t.verdicts.jsonl"
+        if alias == "symlink":
+            out.symlink_to(trace)
+        elif alias == "hard-link":
+            out.hardlink_to(trace)
+        assert main(["replay", str(trace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: verdict file {out} is the trace being replayed\n")
+        assert trace.read_bytes() == before
+        assert not Path(f"{out}.part").exists()
+
     def test_replay_holds_only_the_detector_window(self, tmp_path):
         result = run(attack_scenario(0, seed=1, duration_ms=25_000), default_gnb())
         trace = tmp_path / "long.rrctrace.jsonl"

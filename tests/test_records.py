@@ -13,9 +13,10 @@ from rrcstorm import (
     WindowFeatures,
     read_trace,
     run,
+    run_stream,
     write_trace,
 )
-from rrcstorm.presets import PRESET_NAMES, default_gnb, scenario_from_preset
+from rrcstorm.presets import PRESET_NAMES, default_detector, default_gnb, scenario_from_preset
 
 EVENT = RrcEvent(5, MsgKind.MSG3, "mue-1", EstablishmentCause.EMERGENCY)
 FEATURES = WindowFeatures(375, 1000, 80, 16, 0, 0.0, 0.0)
@@ -72,3 +73,21 @@ def test_trace_round_trips_on_every_preset(preset):
     buf = io.StringIO()
     assert write_trace(trace, buf) == len(trace)
     assert read_trace(io.StringIO(buf.getvalue())) == trace
+
+
+@pytest.mark.parametrize("preset", ["paper-attack-0", "paper-highload", "paper-normal"])
+def test_engine_and_detector_build_exact_record_types(preset):
+    # Built with tuple.__new__ on the hot paths: still the classes, not plain tuples.
+    trace = run(scenario_from_preset(preset, 1), default_gnb()).trace
+    verdicts = run_stream(trace, default_detector())
+    assert {type(e) for e in trace} == {RrcEvent}
+    assert {type(v) for v in verdicts} == {DetectionVerdict}
+    assert {type(v.features) for v in verdicts} == {WindowFeatures}
+    first_of_each_kind = {e.kind: e for e in reversed(trace)}.values()
+    samples = [*first_of_each_kind, verdicts[0], verdicts[-1], verdicts[-1].features]
+    for record in samples:
+        assert type(record)(**record._asdict()) == record
+        assert list(record._asdict()) == list(record._fields)
+        changed = record._replace(**{record._fields[0]: -1})
+        assert type(changed) is type(record)
+        assert changed[0] == -1 and changed[1:] == record[1:]
