@@ -22,7 +22,6 @@ from .detector import (
     DetectorConfig,
     GnbState,
     StreamOrderError,
-    WindowFeatures,
     classify,
     detection_latency,
     iter_verdicts,

@@ -48,10 +48,11 @@ class AnalyticInputs:
             raise ValueError("capacity must be >= 1")
         if not 0 <= self.connected_ues <= self.capacity:
             raise ValueError("connected_ues must be in [0, capacity]")
-        if self.attack_rate_per_s <= 0:
-            raise ValueError("attack_rate_per_s must be > 0")
-        if self.benign_rate_per_s < 0:
-            raise ValueError("benign_rate_per_s must be >= 0")
+        attack, benign = self.attack_rate_per_s, self.benign_rate_per_s
+        if not 0 < attack < math.inf:
+            raise ValueError(f"attack_rate_per_s must be finite and > 0, got {attack}")
+        if not 0 <= benign < math.inf:
+            raise ValueError(f"benign_rate_per_s must be finite and >= 0, got {benign}")
 
 
 @dataclass(frozen=True)

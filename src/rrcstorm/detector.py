@@ -60,20 +60,15 @@ class DetectorConfig:
             raise ValueError("msg3_watermark must be >= 1")
 
 
-class WindowFeatures(NamedTuple):
-    window_start_ms: int
-    window_end_ms: int
+class DetectionVerdict(NamedTuple):
+    """One hop's decision and the window (t_ms - window_ms, t_ms] it was made from."""
+    t_ms: int
+    state: GnbState
     n_msg3: int
     n_msg4: int
     n_msg5: int
     r1: float   # Msg5/Msg3 completion ratio, clamped to [0, 1]
     r2: float   # Msg5/Msg4 response ratio, clamped to [0, 1]
-
-
-class DetectionVerdict(NamedTuple):
-    t_ms: int
-    state: GnbState
-    features: WindowFeatures
 
 
 def compute_ratios(n_msg3: int, n_msg4: int, n_msg5: int,
@@ -98,24 +93,26 @@ def compute_ratios(n_msg3: int, n_msg4: int, n_msg5: int,
     return r1, r2
 
 
-def classify(features: WindowFeatures, config: DetectorConfig) -> DetectionVerdict:
-    """Pure decision rule over one window's features.
+def classify(n_msg3: int, n_msg4: int, n_msg5: int,
+             config: DetectorConfig) -> tuple[float, float, GnbState]:
+    """Pure decision rule over one window's counts: (r1, r2, state).
 
     Order matters: the watermark guard suppresses verdicts on tiny samples,
     and gNB silence is checked before the ratio rules so a fully silent gNB
     reads as Overload rather than Attack.
     """
-    if features.n_msg3 <= config.msg3_watermark:
+    r1, r2 = compute_ratios(n_msg3, n_msg4, n_msg5, config)
+    if n_msg3 <= config.msg3_watermark:
         state = _NORMAL
-    elif features.n_msg4 == 0:
+    elif n_msg4 == 0:
         state = _OVERLOAD
-    elif features.r1 < config.r1_threshold and features.r2 < config.r2_threshold:
+    elif r1 < config.r1_threshold and r2 < config.r2_threshold:
         state = _ATTACK
-    elif features.r1 < config.r1_threshold and features.r2 >= config.r2_threshold:
+    elif r1 < config.r1_threshold and r2 >= config.r2_threshold:
         state = _HIGH_LOAD
     else:
         state = _NORMAL
-    return DetectionVerdict(features.window_end_ms, state, features)
+    return r1, r2, state
 
 
 def iter_verdicts(events: Iterable[RrcEvent],
@@ -161,11 +158,8 @@ def _verdict(now: int, windows: tuple[deque, ...], config: DetectorConfig,
     try:
         r1, r2, state = decided[counts]
     except KeyError:
-        r1, r2 = compute_ratios(n3, n4, n5, config)
-        state = classify(WindowFeatures(horizon, now, n3, n4, n5, r1, r2), config).state
-        decided[counts] = r1, r2, state
-    features = _new(WindowFeatures, (horizon, now, n3, n4, n5, r1, r2))
-    return _new(DetectionVerdict, (now, state, features))
+        r1, r2, state = decided[counts] = classify(n3, n4, n5, config)
+    return _new(DetectionVerdict, (now, state, n3, n4, n5, r1, r2))
 
 
 def run_stream(events: Iterable[RrcEvent],

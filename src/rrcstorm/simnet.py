@@ -66,6 +66,10 @@ class GnbConfig:
         return 1000.0 * self.max_msg1_per_frame / self.frame_ms
 
 
+#: Least P(k <= k_max) a TruncatedPoissonSpec may have; the sampler rejects the rest.
+MIN_ACCEPTANCE = 1e-3
+
+
 @dataclass(frozen=True)
 class TruncatedPoissonSpec:
     """Poisson(lam) arrivals conditioned on k <= k_max, drawn every tick_ms."""
@@ -76,12 +80,23 @@ class TruncatedPoissonSpec:
 
     def __post_init__(self) -> None:
         _require_int_ms(self)
-        if self.lam < 0:
-            raise ScenarioError("lam must be >= 0")
-        if self.k_max < 0:
+        if not 0 <= self.lam < math.inf:
+            raise ScenarioError(f"lam must be finite and >= 0, got {self.lam}")
+        if not self.k_max >= 0:
             raise ScenarioError("k_max must be >= 0")
         if self.tick_ms < 1:
             raise ScenarioError("tick_ms must be >= 1")
+        # P(k <= k_max) for k ~ Poisson(lam), summed only as far as the floor needs:
+        # truncated_poisson_sample makes 1/p draws on average, so a small p hangs it.
+        term = p = math.exp(-self.lam)
+        k = 0
+        while p < MIN_ACCEPTANCE and term > 0 and k < self.k_max:
+            k += 1
+            term *= self.lam / k
+            p += term
+        if p < MIN_ACCEPTANCE:
+            raise ScenarioError(f"lam={self.lam} with k_max={self.k_max} accepts a draw with "
+                                f"probability {p:.3g}, below {MIN_ACCEPTANCE}")
 
 
 def truncated_poisson_sample(spec: TruncatedPoissonSpec, rng: random.Random) -> int:
@@ -144,6 +159,10 @@ class ScenarioSpec:
             raise ScenarioError("duration_ms must be > 0")
         if self.preconnected_bue < 0:
             raise ScenarioError("preconnected_bue must be >= 0")
+        for name in ("attacker_rate_per_s", "benign_fleet_rate_per_s"):
+            rate = getattr(self, name)
+            if rate is not None and not math.isfinite(rate):
+                raise ScenarioError(f"{name} must be finite, got {rate}")
         if self.kind is ScenarioKind.ATTACK:
             if self.attacker_rate_per_s is None or self.attacker_rate_per_s <= 0:
                 raise ScenarioError("attack scenario needs attacker_rate_per_s > 0")
@@ -176,7 +195,6 @@ class SimResult:
     first_msg3_ms: Optional[int]
     first_reject_ms: Optional[int]
     drop_time_ms: Optional[int]
-    duration_accept_ms: Optional[int]
     duration_reject_ms: Optional[int]
     accepted_first_period: int
     rejected_first_period: int
@@ -186,7 +204,6 @@ class SimResult:
 @dataclass
 class _Context:
     pending: bool
-    expiry_ms: int
     generation: int
 
 
@@ -205,12 +222,12 @@ class ResourcePool:
     def is_full(self) -> bool:
         return len(self._contexts) >= self.capacity
 
-    def admit(self, ue_ref: str, now: int, waiting_time_ms: int) -> Optional[int]:
+    def admit(self, ue_ref: str) -> Optional[int]:
         """Allocate a pending context; returns its generation or None if full."""
         if len(self._contexts) >= self.capacity or ue_ref in self._contexts:
             return None
         self._generation += 1
-        self._contexts[ue_ref] = _Context(True, now + waiting_time_ms, self._generation)
+        self._contexts[ue_ref] = _Context(True, self._generation)
         assert len(self._contexts) <= self.capacity
         return self._generation
 
@@ -219,7 +236,7 @@ class ResourcePool:
         if self.is_full:
             raise ScenarioError("preconnected UEs exceed capacity")
         self._generation += 1
-        self._contexts[ue_ref] = _Context(False, -1, self._generation)
+        self._contexts[ue_ref] = _Context(False, self._generation)
 
     def complete(self, ue_ref: str) -> bool:
         """Pending -> Connected on Msg5; False if there is no pending entry."""
@@ -252,7 +269,6 @@ class _BenignUe:
     hold_ms: Optional[int]
     retries_left: int
     got_msg4: bool = False
-    done: bool = False
 
 
 class _Engine:
@@ -307,7 +323,7 @@ class _Engine:
         trace.extend((_new(RrcEvent, (now, _MSG1, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG2, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG3, ue_ref, cause))))
-        generation = self.pool.admit(ue_ref, now, gnb.waiting_time_ms)
+        generation = self.pool.admit(ue_ref)
         if generation is None:
             trace.append(_new(RrcEvent, (now, _MSG3_REJECTED, ue_ref, None)))
             return False
@@ -330,7 +346,6 @@ class _Engine:
     # -- benign UEs -------------------------------------------------------
 
     def _benign_attempt(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        # Callers never pass a done UE: it is fresh, or _benign_t300 checked it.
         if self._ra_and_msg3(ue.ue_ref, cause):
             self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4, ue)
         self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
@@ -342,17 +357,15 @@ class _Engine:
     def _benign_msg5(self, ue: _BenignUe) -> None:
         self.emit(_MSG5, ue.ue_ref)
         # Connect the matching pending context; a stale Msg5 changes nothing.
-        if self.pool.complete(ue.ue_ref):
-            ue.done = True
-            if ue.hold_ms is not None:
-                self.schedule(self.now + ue.hold_ms, self._benign_leave, ue)
+        if self.pool.complete(ue.ue_ref) and ue.hold_ms is not None:
+            self.schedule(self.now + ue.hold_ms, self._benign_leave, ue)
 
     def _benign_leave(self, ue: _BenignUe) -> None:
         if self.pool.release(ue.ue_ref):
             self.emit(_CONTEXT_RELEASED, ue.ue_ref)
 
     def _benign_t300(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        if ue.done or ue.got_msg4 or ue.retries_left == 0:
+        if ue.got_msg4 or ue.retries_left == 0:
             return
         ue.retries_left -= 1
         self._benign_attempt(ue, cause)
@@ -459,7 +472,6 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
         first_msg3_ms=first_msg3,
         first_reject_ms=first_reject,
         drop_time_ms=drop,
-        duration_accept_ms=drop,
         duration_reject_ms=duration_reject,
         accepted_first_period=acc_fp,
         rejected_first_period=rej_fp,

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .detector import DetectionVerdict, GnbState, WindowFeatures
+from .detector import DetectionVerdict, GnbState
 from .events import EstablishmentCause, MsgKind, RrcEvent
 
 TRACE_SUFFIX = ".rrctrace.jsonl"
@@ -195,12 +195,11 @@ def read_trace(source: Source) -> list[RrcEvent]:
 
 
 def verdict_line(verdict: DetectionVerdict) -> str:
-    f = verdict.features
     # r1/r2 fixed at 4 decimals so output bytes are platform independent.
     return (
         f'{{"t":{verdict.t_ms},"state":"{_TEXT[verdict.state]}",'
-        f'"n_msg3":{f.n_msg3},"n_msg4":{f.n_msg4},"n_msg5":{f.n_msg5},'
-        f'"r1":{f.r1:.4f},"r2":{f.r2:.4f}}}'
+        f'"n_msg3":{verdict.n_msg3},"n_msg4":{verdict.n_msg4},"n_msg5":{verdict.n_msg5},'
+        f'"r1":{verdict.r1:.4f},"r2":{verdict.r2:.4f}}}'
     )
 
 
@@ -211,7 +210,7 @@ def write_verdicts(verdicts: Iterable[DetectionVerdict], sink: Sink) -> int:
 _VERDICT_KEYS = {"t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"}
 
 
-def read_verdicts(source: Source, window_ms: int = 625) -> list[DetectionVerdict]:
+def read_verdicts(source: Source) -> list[DetectionVerdict]:
     """Parse a verdict file; ratios come back rounded to their 4 decimals."""
     verdicts, line_no = [], 0
     with _text_lines(source) as lines:
@@ -232,16 +231,9 @@ def read_verdicts(source: Source, window_ms: int = 625) -> list[DetectionVerdict
                 state = _lookup(_STATES, record["state"])
                 if state is None:
                     raise TraceParseError(line_no, f"unknown state {record['state']!r}")
-                features = WindowFeatures(
-                    window_start_ms=record["t"] - window_ms,
-                    window_end_ms=record["t"],
-                    n_msg3=record["n_msg3"],
-                    n_msg4=record["n_msg4"],
-                    n_msg5=record["n_msg5"],
-                    r1=record["r1"],
-                    r2=record["r2"],
-                )
-                verdicts.append(DetectionVerdict(record["t"], state, features))
+                verdicts.append(DetectionVerdict(
+                    record["t"], state, record["n_msg3"], record["n_msg4"], record["n_msg5"],
+                    record["r1"], record["r2"]))
         except UnicodeDecodeError as exc:   # raised on getting line line_no + 1
             raise TraceParseError(line_no + 1, f"not UTF-8: {exc}") from None
     return verdicts

@@ -3,11 +3,14 @@ multi-pass forms of the one-pass library loops, kept as their references, and a
 brute-force window counter as the detector's reference."""
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 from typing import Iterable, Optional
 
 from hypothesis import strategies as st
 
+import rrcstorm
 from rrcstorm import (
     DetectionVerdict,
     DetectorConfig,
@@ -16,13 +19,17 @@ from rrcstorm import (
     RrcEvent,
     SimResult,
     StreamViolation,
-    WindowFeatures,
     classify,
 )
-from rrcstorm.detector import compute_ratios
 
 CAUSES = list(EstablishmentCause)
 KINDS = list(MsgKind)
+
+
+def child_env() -> dict[str, str]:
+    """os.environ for a child interpreter that imports this same rrcstorm."""
+    path = [str(Path(rrcstorm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def random_trace(rng: random.Random, max_events: int = 40) -> list[RrcEvent]:
@@ -109,10 +116,9 @@ def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> Si
     first_msg3 = next((e.t for e in trace if e.kind is MsgKind.MSG3), None)
     first_reject = next((e.t for e in trace if e.kind is MsgKind.MSG3_REJECTED), None)
 
-    drop = duration_accept = duration_reject = None
+    drop = duration_reject = None
     if first_msg3 is not None and first_reject is not None:
         drop = first_reject - first_msg3
-        duration_accept = drop
         first_release = next(
             (e.t for e in trace
              if e.kind is MsgKind.CONTEXT_RELEASED and e.t > first_reject), None)
@@ -136,7 +142,6 @@ def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> Si
         first_msg3_ms=first_msg3,
         first_reject_ms=first_reject,
         drop_time_ms=drop,
-        duration_accept_ms=duration_accept,
         duration_reject_ms=duration_reject,
         accepted_first_period=acc_fp,
         rejected_first_period=rej_fp,
@@ -154,6 +159,6 @@ def reference_run_stream(events: list[RrcEvent], config: DetectorConfig) -> list
         start = now - config.window_ms
         n3, n4, n5 = (sum(1 for e in events if e.kind is kind and start < e.t <= now)
                       for kind in counted)
-        r1, r2 = compute_ratios(n3, n4, n5, config)
-        verdicts.append(classify(WindowFeatures(start, now, n3, n4, n5, r1, r2), config))
+        r1, r2, state = classify(n3, n4, n5, config)
+        verdicts.append(DetectionVerdict(now, state, n3, n4, n5, r1, r2))
     return verdicts

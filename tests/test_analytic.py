@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -39,6 +40,13 @@ class TestDropTime:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             AnalyticInputs(waiting_time_ms=2700, capacity=16, attack_rate_per_s=0)
+
+    @pytest.mark.parametrize("field", ["attack_rate_per_s", "benign_rate_per_s"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, field, rate):
+        inputs = {"waiting_time_ms": 2700, "capacity": 16, "attack_rate_per_s": 100}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AnalyticInputs(**{**inputs, field: rate})
 
 
 class TestAcceptRejectDurations:

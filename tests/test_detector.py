@@ -13,7 +13,6 @@ from rrcstorm import (
     MsgKind,
     RrcEvent,
     StreamOrderError,
-    WindowFeatures,
     classify,
     detection_latency,
     iter_verdicts,
@@ -31,10 +30,9 @@ from rrcstorm.presets import (
 from helpers import CAUSES, KINDS, reference_run_stream
 
 
-def features_from_counts(n3, n4, n5, config=None, t=1000):
-    config = config or DetectorConfig()
-    r1, r2 = compute_ratios(n3, n4, n5, config)
-    return WindowFeatures(t - config.window_ms, t, n3, n4, n5, r1, r2)
+def state_of(n3, n4, n5, config=None):
+    r1, r2, state = classify(n3, n4, n5, config or DetectorConfig())
+    return state
 
 
 class TestRatios:
@@ -71,29 +69,23 @@ class TestRatios:
 
 class TestClassify:
     def test_below_watermark_is_normal(self):
-        verdict = classify(features_from_counts(2, 2, 2), DetectorConfig())
-        assert verdict.state is GnbState.NORMAL
+        assert state_of(2, 2, 2) is GnbState.NORMAL
 
     def test_flood_signature_is_attack(self):
-        verdict = classify(features_from_counts(80, 16, 0), DetectorConfig())
-        assert verdict.state is GnbState.ATTACK
+        assert state_of(80, 16, 0) is GnbState.ATTACK
 
     def test_silent_gnb_is_overload_not_attack(self):
-        verdict = classify(features_from_counts(80, 0, 0), DetectorConfig())
-        assert verdict.state is GnbState.OVERLOAD
+        assert state_of(80, 0, 0) is GnbState.OVERLOAD
 
     def test_surge_signature_is_high_load(self):
-        verdict = classify(features_from_counts(80, 16, 16), DetectorConfig())
-        assert verdict.state is GnbState.HIGH_LOAD
+        assert state_of(80, 16, 16) is GnbState.HIGH_LOAD
 
     def test_healthy_traffic_is_normal(self):
-        verdict = classify(features_from_counts(20, 20, 20), DetectorConfig())
-        assert verdict.state is GnbState.NORMAL
+        assert state_of(20, 20, 20) is GnbState.NORMAL
 
     def test_classification_is_pure(self):
-        features = features_from_counts(80, 16, 3)
         config = DetectorConfig()
-        assert classify(features, config) == classify(features, config)
+        assert classify(80, 16, 3, config) == classify(80, 16, 3, config)
 
     def test_attack_and_high_load_mutually_exclusive(self):
         rng = random.Random(5)
@@ -102,8 +94,8 @@ class TestClassify:
             n3 = rng.randrange(0, 120)
             n4 = rng.randrange(0, n3 + 1)
             n5 = rng.randrange(0, n4 + 1)
-            state = classify(features_from_counts(n3, n4, n5, config), config).state
-            r1, r2 = compute_ratios(n3, n4, n5, config)
+            r1, r2, state = classify(n3, n4, n5, config)
+            assert (r1, r2) == compute_ratios(n3, n4, n5, config)
             if state is GnbState.ATTACK:
                 assert r1 < 0.5 and r2 < 0.5
             if state is GnbState.HIGH_LOAD:
@@ -116,8 +108,7 @@ class TestClassify:
             n3 = rng.randrange(0, config.msg3_watermark + 1)
             n4 = rng.randrange(0, 10)
             n5 = rng.randrange(0, 10)
-            verdict = classify(features_from_counts(n3, n4, n5, config), config)
-            assert verdict.state is GnbState.NORMAL
+            assert state_of(n3, n4, n5, config) is GnbState.NORMAL
 
 
 def msg3(t):
@@ -127,16 +118,16 @@ def msg3(t):
 class TestIngest:
     def test_counted_kind_retained(self):
         [verdict] = iter_verdicts(iter([msg3(625)]))
-        assert verdict.features.n_msg3 == 1
+        assert verdict.n_msg3 == 1
 
     def test_annotations_invisible(self):
         events = [RrcEvent(1, MsgKind.MSG3_REJECTED, "u"),
                   RrcEvent(2, MsgKind.CONTEXT_RELEASED, "u"),
                   RrcEvent(3, MsgKind.MSG1, "u"),
                   RrcEvent(650, MsgKind.MSG5, "u")]   # closes the hop at 625
-        features = next(iter_verdicts(iter(events))).features
-        assert features.window_end_ms == 625
-        assert (features.n_msg3, features.n_msg4, features.n_msg5) == (0, 0, 0)
+        verdict = next(iter_verdicts(iter(events)))
+        assert verdict.t_ms == 625
+        assert (verdict.n_msg3, verdict.n_msg4, verdict.n_msg5) == (0, 0, 0)
 
     def test_out_of_order_rejected(self):
         with pytest.raises(StreamOrderError):
@@ -147,11 +138,11 @@ class TestIngest:
         events = [RrcEvent(0, MsgKind.MSG4, "u"), RrcEvent(625, MsgKind.MSG4, "u")]
         # window is (0, 625]: t=0 falls out, t=625 stays
         [verdict] = iter_verdicts(iter(events), config)
-        assert verdict.features.n_msg4 == 1
+        assert verdict.n_msg4 == 1
         events2 = [RrcEvent(1, MsgKind.MSG4, "u"), RrcEvent(626, MsgKind.MSG5, "u")]
         at_625, at_626 = iter_verdicts(iter(events2), config)
-        assert at_625.features.n_msg4 == 1
-        assert at_626.features.n_msg4 == 0
+        assert at_625.n_msg4 == 1
+        assert at_626.n_msg4 == 0
 
 
 class TestRunStream:
@@ -206,7 +197,7 @@ class TestRunStream:
         saturated_from = result.first_reject_ms
         attack_end = max(e.t for e in result.trace if e.kind is MsgKind.MSG3)
         window = [v for v in verdicts if saturated_from <= v.t_ms <= attack_end]
-        r2_values = [v.features.r2 for v in window]
+        r2_values = [v.r2 for v in window]
         assert all(a >= b for a, b in zip(r2_values, r2_values[1:]))
 
     def test_ordering_error_propagates(self):
@@ -237,7 +228,8 @@ class TestRunStream:
         configs = [default_detector(),
                    DetectorConfig(window_ms=625, hop_ms=25, r1_threshold=0.9, msg3_watermark=40)]
         alone = [run_stream(trace, config) for config in configs]
-        assert [v.features for v in alone[0]] == [v.features for v in alone[1]]
+        assert ([v._replace(state=None) for v in alone[0]]
+                == [v._replace(state=None) for v in alone[1]])
         assert [v.state for v in alone[0]] != [v.state for v in alone[1]]
         streams = [iter_verdicts(iter(trace), config) for config in configs]
         in_turns = [[], []]
@@ -249,7 +241,7 @@ class TestRunStream:
 
 class TestDetectionLatency:
     def _verdict(self, t, state):
-        return DetectionVerdict(t, state, features_from_counts(0, 0, 0, t=t))
+        return DetectionVerdict(t, state, 0, 0, 0, 1.0, 1.0)
 
     def test_attack_detected_90ms_after_onset(self):
         verdicts = [self._verdict(1050, GnbState.NORMAL),

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -31,6 +34,8 @@ from rrcstorm.presets import (
     highload_scenario,
     normal_scenario,
 )
+
+from helpers import child_env
 
 
 def experiment(scenario, seeds, out_dir, name="exp"):
@@ -435,6 +440,49 @@ def test_bad_config_file_is_a_located_error(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def run_cli(argv):
+    """`python -m rrcstorm.cli argv` in a child process, stopped after 60 s."""
+    return subprocess.run([sys.executable, "-m", "rrcstorm.cli", *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+
+
+# Past the spec checks, each of these configs would hang or crash the engine, so the
+# CLI runs in a child process that a timeout can stop.
+BACKGROUND = {"kind": "normal", "duration_ms": 2000}
+
+
+@pytest.mark.parametrize("scenario,message", [
+    ({**BACKGROUND, "background": {"lam": math.nan}},
+     "scenario.background: lam must be finite and >= 0, got nan"),
+    ({**BACKGROUND, "background": {"lam": math.inf}},
+     "scenario.background: lam must be finite and >= 0, got inf"),
+    ({**BACKGROUND, "background": {"lam": 60}},
+     "scenario.background: lam=60 with k_max=3 accepts a draw with probability 3.32e-22, "
+     "below 0.001"),
+    ({**BACKGROUND, "background": {"lam": 0, "k_max": math.nan}},
+     "scenario.background: k_max must be >= 0"),
+    ({"kind": "high_load", "duration_ms": 2000, "benign_fleet_rate_per_s": math.inf},
+     "scenario: benign_fleet_rate_per_s must be finite, got inf"),
+    ({**GOOD_SCENARIO, "attacker_rate_per_s": math.nan},
+     "scenario: attacker_rate_per_s must be finite, got nan"),
+], ids=["lam-nan", "lam-inf", "lam-60", "k_max-nan", "fleet-inf", "attack-nan"])
+def test_config_that_would_hang_the_engine_is_a_located_error(tmp_path, scenario, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": scenario}))   # NaN and Infinity, as json writes them
+    proc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (2, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--attack-rate", "nan"], "attacker_rate_per_s must be finite, got nan"),
+    (["table1", "--attack-rate", "nan"], "attack_rate_per_s must be finite and > 0, got nan"),
+    (["run", "--attack-rate", "inf"], "attacker_rate_per_s must be finite, got inf"),
+])
+def test_non_finite_attack_rate_flag_is_one_error_line(tmp_path, argv, message):
+    proc = run_cli(argv + ["--out", str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
 
 
 def test_config_file_that_is_not_json(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The contract of the three per-message records: RrcEvent, WindowFeatures and
-DetectionVerdict are immutable, hashable value types with fixed field names."""
+"""The contract of the two per-message records: RrcEvent and DetectionVerdict are
+immutable, hashable value types with fixed field names."""
 import io
 
 import pytest
@@ -10,7 +10,6 @@ from rrcstorm import (
     GnbState,
     MsgKind,
     RrcEvent,
-    WindowFeatures,
     read_trace,
     run,
     run_stream,
@@ -19,14 +18,11 @@ from rrcstorm import (
 from rrcstorm.presets import PRESET_NAMES, default_detector, default_gnb, scenario_from_preset
 
 EVENT = RrcEvent(5, MsgKind.MSG3, "mue-1", EstablishmentCause.EMERGENCY)
-FEATURES = WindowFeatures(375, 1000, 80, 16, 0, 0.0, 0.0)
-VERDICT = DetectionVerdict(1000, GnbState.ATTACK, FEATURES)
+VERDICT = DetectionVerdict(1000, GnbState.ATTACK, 80, 16, 0, 0.0, 0.0)
 
 FIELDS = [
     (RrcEvent, ("t", "kind", "ue_ref", "cause"), {"cause": None}),
-    (WindowFeatures, ("window_start_ms", "window_end_ms", "n_msg3", "n_msg4", "n_msg5",
-                      "r1", "r2"), {}),
-    (DetectionVerdict, ("t_ms", "state", "features"), {}),
+    (DetectionVerdict, ("t_ms", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"), {}),
 ]
 
 
@@ -36,7 +32,7 @@ def test_field_names_order_and_defaults(cls, fields, defaults):
     assert cls._field_defaults == defaults
 
 
-@pytest.mark.parametrize("record", [EVENT, FEATURES, VERDICT])
+@pytest.mark.parametrize("record", [EVENT, VERDICT])
 def test_fields_cannot_be_assigned(record):
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], 0)
@@ -44,7 +40,7 @@ def test_fields_cannot_be_assigned(record):
         record.extra = 0
 
 
-@pytest.mark.parametrize("record", [EVENT, FEATURES, VERDICT])
+@pytest.mark.parametrize("record", [EVENT, VERDICT])
 def test_equal_records_hash_equal(record):
     copy = type(record)(*record)
     assert copy == record and copy is not record
@@ -52,7 +48,7 @@ def test_equal_records_hash_equal(record):
     assert len({copy, record}) == 1
 
 
-@pytest.mark.parametrize("record", [EVENT, FEATURES, VERDICT])
+@pytest.mark.parametrize("record", [EVENT, VERDICT])
 def test_keyword_construction(record):
     assert type(record)(**record._asdict()) == record
 
@@ -82,9 +78,8 @@ def test_engine_and_detector_build_exact_record_types(preset):
     verdicts = run_stream(trace, default_detector())
     assert {type(e) for e in trace} == {RrcEvent}
     assert {type(v) for v in verdicts} == {DetectionVerdict}
-    assert {type(v.features) for v in verdicts} == {WindowFeatures}
     first_of_each_kind = {e.kind: e for e in reversed(trace)}.values()
-    samples = [*first_of_each_kind, verdicts[0], verdicts[-1], verdicts[-1].features]
+    samples = [*first_of_each_kind, verdicts[0], verdicts[-1]]
     for record in samples:
         assert type(record)(**record._asdict()) == record
         assert list(record._asdict()) == list(record._fields)

@@ -44,25 +44,25 @@ class TestResourcePool:
         pool = ResourcePool(16)
         for i in range(15):
             pool.preconnect(f"pre-{i}")
-        assert pool.admit("ue", now=0, waiting_time_ms=2700) is not None
+        assert pool.admit("ue") is not None
         assert len(pool) == 16
 
     def test_reject_at_capacity(self):
         pool = ResourcePool(16)
         for i in range(16):
             pool.preconnect(f"pre-{i}")
-        assert pool.admit("ue", now=0, waiting_time_ms=2700) is None
+        assert pool.admit("ue") is None
 
     def test_readmit_after_expiry(self):
         pool = ResourcePool(1)
-        generation = pool.admit("a", now=0, waiting_time_ms=100)
-        assert pool.admit("b", now=50, waiting_time_ms=100) is None
+        generation = pool.admit("a")
+        assert pool.admit("b") is None
         assert pool.expire("a", generation)
-        assert pool.admit("b", now=100, waiting_time_ms=100) is not None
+        assert pool.admit("b") is not None
 
     def test_msg5_connects_pending(self):
         pool = ResourcePool(2)
-        pool.admit("a", now=0, waiting_time_ms=100)
+        pool.admit("a")
         assert pool.complete("a")
         # timer canceled: the expiry no longer removes the context
         assert not pool.expire("a", 1)
@@ -74,7 +74,7 @@ class TestResourcePool:
 
     def test_release_requires_connected(self):
         pool = ResourcePool(2)
-        pool.admit("a", now=0, waiting_time_ms=100)
+        pool.admit("a")
         assert not pool.release("a")
         pool.complete("a")
         assert pool.release("a")
@@ -86,7 +86,6 @@ class TestAttackRun:
         result = run(attack(), GnbConfig())
         assert result.accepted_first_period == 16
         assert 120 <= result.drop_time_ms <= 160
-        assert result.duration_accept_ms == result.drop_time_ms
         assert validate_stream(result.trace) is None
 
     def test_two_context_hand_trace(self):
@@ -344,6 +343,34 @@ class TestValidation:
     def test_onset_beyond_duration_rejected(self):
         with pytest.raises(ScenarioError):
             run(attack(duration_ms=100, onset_ms=200), GnbConfig())
+
+    @pytest.mark.parametrize("field", ["attacker_rate_per_s", "benign_fleet_rate_per_s"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rate_must_be_finite(self, field, rate):
+        with pytest.raises(ScenarioError, match=f"{field} must be finite, got {rate}"):
+            dataclasses.replace(attack(), **{field: rate})
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_lam_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(ScenarioError, match=f"lam must be finite and >= 0, got {lam}"):
+            TruncatedPoissonSpec(lam=lam)
+
+    def test_k_max_nan_rejected(self):
+        with pytest.raises(ScenarioError, match="k_max must be >= 0"):
+            TruncatedPoissonSpec(lam=0.0, k_max=math.nan)
+
+    @pytest.mark.parametrize("lam,k_max,p", [(60.0, 3, "3.32e-22"), (13.5, 3, "0.000707"),
+                                             (800.0, 10_000, "0")])
+    def test_lam_the_sampler_would_almost_always_reject(self, lam, k_max, p):
+        with pytest.raises(ScenarioError, match=f"probability {p}, below 0.001"):
+            TruncatedPoissonSpec(lam=lam, k_max=k_max)
+
+    @pytest.mark.parametrize("lam,k_max", [(2.0, 3), (13.0, 3), (60.0, 60), (0.0, 0),
+                                           (500.0, 10**9)])
+    def test_lam_with_acceptance_above_the_floor_samples(self, lam, k_max):
+        spec = TruncatedPoissonSpec(lam=lam, k_max=k_max)
+        rng = random.Random(1)
+        assert all(0 <= truncated_poisson_sample(spec, rng) <= k_max for _ in range(20))
 
 
 @settings(deadline=None, max_examples=300)

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from rrcstorm import (
     DetectionVerdict,
+    DetectorConfig,
     EstablishmentCause,
     GnbState,
     MsgKind,
     RrcEvent,
     TraceParseError,
-    WindowFeatures,
     read_trace,
     read_verdicts,
+    run_stream,
     write_trace,
     write_verdicts,
 )
@@ -81,8 +82,7 @@ class TestMemberText:
 
     @pytest.mark.parametrize("state", list(GnbState))
     def test_verdict_line_writes_state_value(self, state):
-        features = WindowFeatures(0, 625, 1, 1, 1, 1.0, 1.0)
-        line = verdict_line(DetectionVerdict(625, state, features))
+        line = verdict_line(DetectionVerdict(625, state, 1, 1, 1, 1.0, 1.0))
         assert f'"state":"{state.value}"' in line
 
 
@@ -149,8 +149,7 @@ class TestRoundTripProperty:
 
 class TestVerdicts:
     def _verdict(self, t=650, state=GnbState.ATTACK, r1=0.0, r2=0.0):
-        features = WindowFeatures(t - 625, t, 80, 16, 0, r1, r2)
-        return DetectionVerdict(t, state, features)
+        return DetectionVerdict(t, state, 80, 16, 0, r1, r2)
 
     def test_line_format_fixes_four_decimals(self):
         line = verdict_line(self._verdict(r1=1 / 3, r2=0.5))
@@ -213,6 +212,20 @@ class TestVerdicts:
         assert raw.endswith(b"}\n")
         assert b"\r" not in raw
         assert len(read_verdicts(path)) == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32),
+       st.integers(1, 1000).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))))
+def test_verdicts_read_back_as_written_for_any_window(seed, window_and_hop):
+    window_ms, hop_ms = window_and_hop
+    config = DetectorConfig(window_ms=window_ms, hop_ms=hop_ms)
+    verdicts = run_stream(random_trace(random.Random(seed), max_events=120), config)
+    buf = io.StringIO()
+    assert write_verdicts(verdicts, buf) == len(verdicts)
+    as_written = [v._replace(r1=float(f"{v.r1:.4f}"), r2=float(f"{v.r2:.4f}"))
+                  for v in verdicts]
+    assert read_verdicts(io.StringIO(buf.getvalue())) == as_written
 
 
 def json_trace_line(event):
