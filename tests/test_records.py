@@ -18,6 +18,7 @@ from rrcstorm import (
 from rrcstorm.presets import PRESET_NAMES, default_detector, default_gnb, scenario_from_preset
 
 EVENT = RrcEvent(5, MsgKind.MSG3, "mue-1", EstablishmentCause.EMERGENCY)
+DEFAULTED_EVENT = RrcEvent(7, MsgKind.MSG4, "mue-1")
 VERDICT = DetectionVerdict(1000, GnbState.ATTACK, 80, 16, 0, 0.0, 0.0)
 
 FIELDS = [
@@ -32,7 +33,7 @@ def test_field_names_order_and_defaults(cls, fields, defaults):
     assert cls._field_defaults == defaults
 
 
-@pytest.mark.parametrize("record", [EVENT, VERDICT])
+@pytest.mark.parametrize("record", [EVENT, DEFAULTED_EVENT, VERDICT])
 def test_fields_cannot_be_assigned(record):
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], 0)
@@ -40,7 +41,7 @@ def test_fields_cannot_be_assigned(record):
         record.extra = 0
 
 
-@pytest.mark.parametrize("record", [EVENT, VERDICT])
+@pytest.mark.parametrize("record", [EVENT, DEFAULTED_EVENT, VERDICT])
 def test_equal_records_hash_equal(record):
     copy = type(record)(*record)
     assert copy == record and copy is not record
@@ -48,7 +49,7 @@ def test_equal_records_hash_equal(record):
     assert len({copy, record}) == 1
 
 
-@pytest.mark.parametrize("record", [EVENT, VERDICT])
+@pytest.mark.parametrize("record", [EVENT, DEFAULTED_EVENT, VERDICT])
 def test_keyword_construction(record):
     assert type(record)(**record._asdict()) == record
 
