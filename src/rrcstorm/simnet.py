@@ -37,8 +37,8 @@ class GnbConfig:
 
     capacity: simultaneous UE contexts.
     waiting_time_ms: how long a pending context is held awaiting Msg5.
-    frame_ms / max_msg1_per_frame: RA admission cap; the attacker's rate is
-    clamped to max_msg1_per_frame per frame.
+    frame_ms / max_msg1_per_frame: RA admission cap; the attacker's and the
+    benign fleet's rates are clamped to max_msg1_per_frame per frame.
     msg3_to_msg4_delay_ms: gNB processing delay before Msg4 goes out.
     """
 
@@ -391,12 +391,13 @@ class _Engine:
         if onset >= self.scenario.duration_ms:
             raise ScenarioError("onset lies beyond duration_ms")
 
+        cap = self.gnb.max_msg1_rate_per_s
         if self.scenario.kind is ScenarioKind.ATTACK:
-            rate = min(self.scenario.attacker_rate_per_s, self.gnb.max_msg1_rate_per_s)
+            rate = min(self.scenario.attacker_rate_per_s, cap)
             self.schedule(onset, self._periodic, 0, onset, 1000.0 / rate, self._attacker_cycle)
         elif self.scenario.kind is ScenarioKind.HIGH_LOAD:
-            self.schedule(onset, self._periodic, 0, onset,
-                          1000.0 / self.scenario.benign_fleet_rate_per_s, self._spawn_benign)
+            rate = min(self.scenario.benign_fleet_rate_per_s, cap)
+            self.schedule(onset, self._periodic, 0, onset, 1000.0 / rate, self._spawn_benign)
         if self.scenario.background is not None:
             self.schedule(0, self._periodic, 0, 0, self.scenario.background.tick_ms,
                           self._background_tick)

@@ -15,6 +15,7 @@ from rrcstorm import (
     read_trace,
     read_verdicts,
     run,
+    telemetry,
     write_trace,
 )
 from rrcstorm.cli import FLAG_FIELDS, ConfigError, load_config_file, main
@@ -473,6 +474,23 @@ def test_config_that_would_hang_the_engine_is_a_located_error(tmp_path, scenario
     path.write_text(json.dumps({"scenario": scenario}))   # NaN and Infinity, as json writes them
     proc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path)])
     assert (proc.returncode, proc.stderr) == (2, f"error: {path}: {message}\n")
+
+
+def test_fleet_rate_above_the_msg1_cap_runs_at_the_cap(tmp_path):
+    # 1e9 arrivals/s used to schedule one spawn per microsecond and hang the engine.
+    traces = []
+    for name, rate in (("huge", 1e9), ("cap", default_gnb().max_msg1_rate_per_s)):
+        out = tmp_path / name
+        out.mkdir()
+        path = out / "cfg.json"
+        path.write_text(json.dumps({"scenario": {
+            "kind": "high_load", "duration_ms": 2000, "benign_fleet_rate_per_s": rate}}))
+        proc = run_cli(["run", "--scenario", str(path), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        [trace] = out.glob("*" + telemetry.TRACE_SUFFIX)
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    assert traces[0].count(b'"kind":"msg1"') > 0
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -4,6 +4,7 @@ import os
 import random
 import stat
 import threading
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,17 @@ from rrcstorm import (
     read_trace,
     read_verdicts,
     run_stream,
+    telemetry,
     write_trace,
     write_verdicts,
 )
-from rrcstorm.telemetry import _TEXT, _parse_trace_record, trace_line, verdict_line
+from rrcstorm.telemetry import (
+    _CHUNK_LINES,
+    _TEXT,
+    _parse_trace_record,
+    trace_line,
+    verdict_line,
+)
 
 from helpers import random_trace
 
@@ -342,6 +350,21 @@ def test_read_trace_agrees_with_strict_parser(text):
         reference_read_trace, text)
 
 
+def small_blocks(block_size):
+    """Readers that take block_size bytes or characters at a time, plus the rest of
+    the last line, so that lines fall on either side of block boundaries."""
+    return patch.object(telemetry, "_BLOCK_SIZE", block_size)
+
+
+@settings(deadline=None)
+@given(mutated_traces(), st.integers(1, 80))
+def test_read_trace_agrees_with_strict_parser_in_small_blocks(text, block_size):
+    expected = outcome(reference_read_trace, text)
+    with small_blocks(block_size):
+        assert outcome(lambda s: read_trace(io.StringIO(s)), text) == expected
+        assert outcome(lambda s: read_trace(io.BytesIO(s.encode())), text) == expected
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
@@ -400,16 +423,29 @@ GOOD_LINE = {read_trace: '{"t":0,"kind":"msg1","ue":"a"}',
                             '"n_msg5":0,"r1":1.0,"r2":1.0}'}
 
 
+any_bytes = st.lists(st.binary(max_size=40)
+                     | st.sampled_from([line.encode() for line in GOOD_LINE.values()]),
+                     max_size=6).map(b"\n".join)
+
+
 @settings(deadline=None)
-@given(st.lists(st.binary(max_size=40)
-                | st.sampled_from([line.encode() for line in GOOD_LINE.values()]),
-                max_size=6).map(b"\n".join))
+@given(any_bytes)
 def test_readers_of_any_bytes_raise_only_trace_parse_error(content):
     for read in (read_trace, read_verdicts):
         try:
             read(io.BytesIO(content))
         except TraceParseError:
             pass
+
+
+@settings(deadline=None)
+@given(any_bytes, st.integers(1, 80))
+def test_readers_of_any_bytes_read_the_same_in_small_blocks(content, block_size):
+    """Same records or same error, line number and reason, whatever the block size."""
+    for read in (read_trace, read_verdicts):
+        expected = outcome(lambda c: read(io.BytesIO(c)), content)
+        with small_blocks(block_size):
+            assert outcome(lambda c: read(io.BytesIO(c)), content) == expected
 
 
 DEEP = "[" * 100_000
@@ -500,3 +536,109 @@ class TestHostileInput:
         path = tmp_path / "t.rrctrace.jsonl"
         path.write_bytes('{"t":0,"kind":"msg1","ue":"é€"}\n'.encode())
         assert read_trace(path) == [RrcEvent(0, MsgKind.MSG1, "é€")]
+
+
+def trace_text(events):
+    return "".join(trace_line(event) + "\n" for event in events)
+
+
+def msg1(t):
+    return RrcEvent(t, MsgKind.MSG1, f"u{t}")
+
+
+class TestBlocks:
+    """Lines the reader's pattern skips, and lines on either side of a block boundary."""
+
+    @pytest.mark.parametrize("block_size", [telemetry._BLOCK_SIZE, 40])
+    def test_non_canonical_lines_in_the_middle_of_a_block(self, tmp_path, block_size):
+        reordered = '{"cause":"emergency","ue":"m","kind":"msg3","t":10}'
+        escaped = '{"t":10,"kind":"msg4","ue":"\\u006d\\u00e9"}'
+        text = (trace_text(map(msg1, range(10))) + f"{reordered}\n{escaped}\n"
+                + trace_text(map(msg1, range(10, 20))))
+        path = tmp_path / "t.rrctrace.jsonl"
+        path.write_text(text)
+        expected = [*map(msg1, range(10)),
+                    RrcEvent(10, MsgKind.MSG3, "m", EstablishmentCause.EMERGENCY),
+                    RrcEvent(10, MsgKind.MSG4, "m\u00e9"), *map(msg1, range(10, 20))]
+        with small_blocks(block_size):
+            assert read_trace(path) == expected
+            # A canonical line below the last skipped line's t is a regression.
+            path.write_text(text.replace(trace_line(msg1(10)), trace_line(msg1(9))))
+            with pytest.raises(TraceParseError, match="^line 13: timestamp regression 10 -> 9$"):
+                read_trace(path)
+
+    @pytest.mark.parametrize("block_size", [telemetry._BLOCK_SIZE, 1, 40])
+    def test_final_line_without_lf(self, tmp_path, block_size):
+        events = list(map(msg1, range(5)))
+        verdicts = [DetectionVerdict(t, GnbState.NORMAL, 0, 0, 0, 1.0, 1.0) for t in (25, 50)]
+        trace, verdict = tmp_path / "t.rrctrace.jsonl", tmp_path / "v.verdicts.jsonl"
+        trace.write_text(trace_text(events).rstrip("\n"))
+        verdict.write_text("\n".join(map(verdict_line, verdicts)))
+        with small_blocks(block_size):
+            assert read_trace(trace) == read_trace(io.StringIO(trace.read_text())) == events
+            assert read_verdicts(verdict) == verdicts
+
+    @pytest.mark.parametrize("block_size", [telemetry._BLOCK_SIZE, 40])
+    def test_crlf_lines(self, tmp_path, block_size):
+        events = [msg1(0), RrcEvent(1, MsgKind.MSG3, "u1", EstablishmentCause.MO_DATA)]
+        verdicts = [DetectionVerdict(25, GnbState.ATTACK, 9, 9, 0, 0.0, 0.0)]
+        trace, verdict = tmp_path / "t.rrctrace.jsonl", tmp_path / "v.verdicts.jsonl"
+        trace.write_bytes(trace_text(events).replace("\n", "\r\n").encode())
+        verdict.write_bytes(f"{verdict_line(verdicts[0])}\r\n".encode())
+        with small_blocks(block_size):
+            assert read_trace(trace) == events
+            assert read_verdicts(verdict) == verdicts
+
+    @pytest.mark.parametrize("read", [read_trace, read_verdicts])
+    def test_malformed_line_in_block_1_before_a_bad_byte_in_block_2(self, tmp_path, read):
+        good = (GOOD_LINE[read] + "\n").encode()
+        path = tmp_path / "t.jsonl"
+        with small_blocks(2 * len(good)):   # block 1 holds lines 1-3, block 2 lines 4-6
+            path.write_bytes(good * 5 + b'"\xff"\n')
+            with pytest.raises(TraceParseError, match="^line 6: not UTF-8: .* position 1: "):
+                read(path)
+            content = b"{bad json\n" + good * 4 + b'"\xff"\n'
+            path.write_bytes(content)
+            for source in (path, io.BytesIO(content)):
+                with pytest.raises(TraceParseError, match="^line 1: bad JSON"):
+                    read(source)
+
+    @pytest.mark.parametrize("block_size", [telemetry._BLOCK_SIZE, 1, 40])
+    def test_regression_on_a_canonical_line(self, block_size):
+        text = trace_text([msg1(5), msg1(7), msg1(3), msg1(9)])
+        with small_blocks(block_size), pytest.raises(TraceParseError) as exc:
+            read_trace(io.StringIO(text))
+        assert (exc.value.line_no, str(exc.value)) == (3, "line 3: timestamp regression 7 -> 3")
+
+
+def verdict(i):
+    return DetectionVerdict(25 * i, GnbState.NORMAL, i, i, i, 1.0, 1.0)
+
+
+WRITERS = [(write_trace, trace_line, msg1), (write_verdicts, verdict_line, verdict)]
+
+
+class TestChunkedWrites:
+    """The writers join _CHUNK_LINES lines per write."""
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_LINES, _CHUNK_LINES + 1])
+    @pytest.mark.parametrize("write,line,record", WRITERS, ids=["trace", "verdicts"])
+    def test_count_and_bytes(self, tmp_path, write, line, record, n):
+        records = [record(i) for i in range(n)]
+        expected = "".join(line(r) + "\n" for r in records)
+        path = tmp_path / "out.jsonl"
+        assert write(iter(records), path) == n
+        assert path.read_bytes() == expected.encode()
+        buf = io.StringIO()
+        assert write(records, buf) == n
+        assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("write,line,record", WRITERS, ids=["trace", "verdicts"])
+    def test_failure_after_some_chunks_leaves_no_file(self, tmp_path, write, line, record):
+        def records():
+            yield from map(record, range(2 * _CHUNK_LINES + 3))
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write(records(), tmp_path / "out.jsonl")
+        assert list(tmp_path.iterdir()) == []
