@@ -218,10 +218,6 @@ class ResourcePool:
     def __len__(self) -> int:
         return len(self._contexts)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._contexts) >= self.capacity
-
     def admit(self, ue_ref: str) -> Optional[int]:
         """Allocate a pending context; returns its generation or None if full."""
         if len(self._contexts) >= self.capacity or ue_ref in self._contexts:
@@ -233,7 +229,7 @@ class ResourcePool:
 
     def preconnect(self, ue_ref: str) -> None:
         """Seed an already-connected UE at t=0 (emits no events)."""
-        if self.is_full:
+        if len(self._contexts) >= self.capacity:
             raise ScenarioError("preconnected UEs exceed capacity")
         self._generation += 1
         self._contexts[ue_ref] = _Context(False, self._generation)
@@ -296,16 +292,23 @@ class _Engine:
                   action: Callable[[], None]) -> None:
         # Firing n of a train at start + round(n * period_ms), up to duration_ms. Each
         # time is taken from start, not from the last firing, so rounding never drifts.
-        action()
-        t_next = start + _round_half_up((n + 1) * period_ms)
-        if t_next < self.scenario.duration_ms:
-            self._seq += 1
-            heappush(self._heap, (t_next, self._seq, self._periodic,
-                                  (n + 1, start, period_ms, action)))
+        # The next firing runs here unless an entry is queued at or before its time:
+        # pushed, it would get the highest seq, so every entry at its time goes first.
+        heap, duration_ms = self._heap, self.scenario.duration_ms
+        while True:
+            action()
+            n += 1
+            t_next = start + _round_half_up(n * period_ms)
+            if t_next >= duration_ms:
+                return
+            if heap and heap[0][0] <= t_next:
+                self._seq += 1
+                heappush(heap, (t_next, self._seq, self._periodic, (n, start, period_ms, action)))
+                return
+            self.now = t_next
 
-    def emit(self, kind: MsgKind, ue_ref: str,
-             cause: Optional[EstablishmentCause] = None) -> None:
-        self.trace.append(_new(RrcEvent, (self.now, kind, ue_ref, cause)))
+    def emit(self, kind: MsgKind, ue_ref: str) -> None:
+        self.trace.append(_new(RrcEvent, (self.now, kind, ue_ref, None)))
 
     def _fresh_ref(self, prefix: str) -> str:
         # Redraw on a live ref: admit() would reject it although the pool has room.
@@ -317,8 +320,12 @@ class _Engine:
 
     # -- gNB --------------------------------------------------------------
 
-    def _ra_and_msg3(self, ue_ref: str, cause: EstablishmentCause) -> bool:
-        """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and expiry scheduled."""
+    def _ra_and_msg3(self, ue_ref: str, cause: EstablishmentCause,
+                     ue: Optional[_BenignUe] = None) -> bool:
+        """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and expiry scheduled.
+
+        ue: the benign UE behind ue_ref, which answers the Msg4; None for the attacker.
+        """
         now, gnb, trace = self.now, self.gnb, self.trace
         trace.extend((_new(RrcEvent, (now, _MSG1, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG2, ue_ref, None)),
@@ -329,9 +336,15 @@ class _Engine:
             return False
         seq = self._seq = self._seq + 2
         heap = self._heap
-        heappush(heap, (now + gnb.msg3_to_msg4_delay_ms, seq - 1, self.emit, (_MSG4, ue_ref)))
+        heappush(heap, (now + gnb.msg3_to_msg4_delay_ms, seq - 1, self._gnb_msg4, (ue_ref, ue)))
         heappush(heap, (now + gnb.waiting_time_ms, seq, self._gnb_expire, (ue_ref, generation)))
         return True
+
+    def _gnb_msg4(self, ue_ref: str, ue: Optional[_BenignUe]) -> None:
+        self.emit(_MSG4, ue_ref)
+        if ue is not None:
+            ue.got_msg4 = True
+            self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
 
     def _gnb_expire(self, ue_ref: str, generation: int) -> None:
         if self.pool.expire(ue_ref, generation):
@@ -346,13 +359,11 @@ class _Engine:
     # -- benign UEs -------------------------------------------------------
 
     def _benign_attempt(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        if self._ra_and_msg3(ue.ue_ref, cause):
-            self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4, ue)
-        self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
-
-    def _benign_on_msg4(self, ue: _BenignUe) -> None:
-        ue.got_msg4 = True
-        self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
+        # After an accept, T300 can only fire before the Msg4: at the same ms the Msg4,
+        # queued first, sets got_msg4 and the timer would do nothing.
+        if (not self._ra_and_msg3(ue.ue_ref, cause, ue)
+                or self.scenario.t300_ms < self.gnb.msg3_to_msg4_delay_ms):
+            self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
 
     def _benign_msg5(self, ue: _BenignUe) -> None:
         self.emit(_MSG5, ue.ue_ref)

@@ -40,6 +40,9 @@ _TRACE_LINE = re.compile(
     r'"ue":"([ !#-\[\]-~]+)"'
     f'(?(3),"cause":"({"|".join(map(re.escape, _CAUSES))})")'
     "}$", re.M)
+# A high then a low surrogate: the writer escapes each, and the JSON reader joins
+# the two escapes into one character, so a ue holding them cannot round-trip.
+_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 # Bytes (characters from a text stream) a reader takes at a time, plus the rest
 # of the last line: what a reader holds of its source. This and the lines a
 # writer joins into one write set most of what a replay holds: its tracemalloc
@@ -84,17 +87,46 @@ def _blocks(source: Source) -> Iterator[str]:
 
 
 def trace_line(event: RrcEvent) -> str:
-    t, kind, ue, cause = event.t, _TEXT[event.kind], event.ue_ref, event.cause
-    if type(t) is not int or type(ue) is not str:
-        record = {"t": t, "kind": kind, "ue": ue}
-        if cause is not None:
-            record["cause"] = _TEXT[cause]
-        return json.dumps(record, separators=(",", ":"))
-    # Same bytes as the json.dumps form above: ensure_ascii encodes ue alone.
+    """The line write_trace writes for event as the first record of a trace."""
+    return next(_trace_lines((event,)))
+
+
+def _trace_lines(events: Iterable[RrcEvent]) -> Iterator[str]:
+    """One JSON line per event, each the bytes json.dumps(separators=(",", ":")) gives;
+    ValueError, naming the event's index, for an event read_trace would refuse."""
+    text, encode = _TEXT, encode_basestring_ascii   # ensure_ascii encodes ue alone
+    prev_t = 0   # a first t below 0 is refused as negative, like any regression
+    for i, (t, kind, ue, cause) in enumerate(events):
+        if (type(t) is not int or t < prev_t or type(kind) is not MsgKind
+                or type(ue) is not str or not ue or (not ue.isascii() and _PAIR.search(ue))
+                or (kind is _MSG3) is (cause is None)
+                or (cause is not None and type(cause) is not EstablishmentCause)):
+            raise ValueError(f"event {i}: {_refusal(t, kind, ue, cause, prev_t)}")
+        prev_t = t
+        if cause is None:
+            yield f'{{"t":{t},"kind":"{text[kind]}","ue":{encode(ue)}}}'
+        else:
+            yield f'{{"t":{t},"kind":"msg3","ue":{encode(ue)},"cause":"{text[cause]}"}}'
+
+
+def _refusal(t, kind, ue, cause, prev_t: int) -> str:
+    """Why read_trace refuses the line of an event after one at prev_t, checked in
+    _parse_trace_record's order."""
+    if type(t) is not int or t < 0:
+        return f"'t' must be a non-negative integer, got {t!r}"
+    if t < prev_t:
+        return f"timestamp regression {prev_t} -> {t}"
+    if type(kind) is not MsgKind:
+        return f"unknown kind {kind!r}"
+    if type(ue) is not str or not ue:
+        return "'ue' must be a non-empty string"
+    if _PAIR.search(ue):
+        return f"'ue' {ue!r} holds a surrogate pair, which reads back as one character"
+    if kind is not _MSG3:
+        return f"cause not allowed on {kind.value}"
     if cause is None:
-        return f'{{"t":{t},"kind":"{kind}","ue":{encode_basestring_ascii(ue)}}}'
-    return (f'{{"t":{t},"kind":"{kind}","ue":{encode_basestring_ascii(ue)},'
-            f'"cause":"{_TEXT[cause]}"}}')
+        return "msg3 record without cause"
+    return f"unknown cause {cause!r}"
 
 
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:
@@ -129,8 +161,14 @@ def _write_to(fh: IO[str], lines: Iterable[str]) -> int:
 
 
 def write_trace(events: Iterable[RrcEvent], sink: Sink) -> int:
-    """Write one JSON line per event; returns the record count."""
-    return _write_lines(map(trace_line, events), sink)
+    """Write one JSON line per event; returns the record count.
+
+    ValueError ("event 3: ...") for the first event read_trace would refuse or read
+    back as another: a t that is not an int >= 0 or that regressed, a kind that is not
+    a MsgKind, a ue that is not a non-empty str or holds a surrogate pair, or a cause
+    missing on msg3 or set on another kind.
+    """
+    return _write_lines(_trace_lines(events), sink)
 
 
 def _load_record(line_no: int, line: str) -> dict:

@@ -1,6 +1,7 @@
 """Shared test utilities: random valid traces, trace-replay bookkeeping, the plain
-multi-pass forms of the one-pass library loops, kept as their references, and a
-brute-force window counter as the detector's reference."""
+multi-pass forms of the one-pass library loops, kept as their references, a
+brute-force window counter as the detector's reference, and an engine that
+queues every timer as the simulator's reference."""
 from __future__ import annotations
 
 import os
@@ -20,7 +21,9 @@ from rrcstorm import (
     SimResult,
     StreamViolation,
     classify,
+    simnet,
 )
+from rrcstorm.analytic import _round_half_up
 
 CAUSES = list(EstablishmentCause)
 KINDS = list(MsgKind)
@@ -162,3 +165,27 @@ def reference_run_stream(events: list[RrcEvent], config: DetectorConfig) -> list
         r1, r2, state = classify(n3, n4, n5, config)
         verdicts.append(DetectionVerdict(now, state, n3, n4, n5, r1, r2))
     return verdicts
+
+
+class ReferenceEngine(simnet._Engine):
+    """simnet._Engine with one heap entry per timer: a train queues each firing, a
+    benign UE's reaction to Msg4 is an entry of its own after the gNB's, and T300
+    is queued after every attempt, even where Msg4 always comes first."""
+
+    def _periodic(self, n, start, period_ms, action):
+        action()
+        t_next = start + _round_half_up((n + 1) * period_ms)
+        if t_next < self.scenario.duration_ms:
+            self.schedule(t_next, self._periodic, n + 1, start, period_ms, action)
+
+    def _gnb_msg4(self, ue_ref, ue):
+        self.emit(MsgKind.MSG4, ue_ref)
+
+    def _benign_attempt(self, ue, cause):
+        if self._ra_and_msg3(ue.ue_ref, cause, ue):
+            self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4, ue)
+        self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
+
+    def _benign_on_msg4(self, ue):
+        ue.got_msg4 = True
+        self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)

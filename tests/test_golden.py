@@ -4,6 +4,7 @@ The goldens were produced by one live run of the scenario below and frozen;
 any engine, detector or serialization change that shifts output bytes must be
 deliberate and regenerate them.
 """
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -13,13 +14,20 @@ from rrcstorm import (
     GnbConfig,
     ScenarioKind,
     ScenarioSpec,
+    TruncatedPoissonSpec,
     read_trace,
     run,
     run_stream,
     write_trace,
     write_verdicts,
 )
-from rrcstorm.presets import default_detector, default_gnb, normal_scenario, scenario_from_preset
+from rrcstorm.presets import (
+    default_detector,
+    default_gnb,
+    highload_scenario,
+    normal_scenario,
+    scenario_from_preset,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,19 +63,37 @@ def test_replaying_golden_trace_reproduces_golden_verdicts(tmp_path):
 # never takes: benign retries after T300 and Msg4 -> Msg5 completions
 # (paper-highload), short-held background sessions that release their context
 # (normal), and a storm against a half-occupied paper gNB (paper-attack-50).
+# Then the engine's ties, pinned before its trains ran inline: a storm and
+# background ticks on the same 7 ms grid; T300 firing before a Msg4 delayed
+# 5 ms, and on the Msg4's ms; and an expiry on the Msg4's ms.
+EDGE_HIGHLOAD = dataclasses.replace(highload_scenario(3), preconnected_bue=0, benign_hold_ms=50)
+MSG4_AFTER_5MS = GnbConfig(msg3_to_msg4_delay_ms=5)
 TRACE_DIGESTS = [
-    (scenario_from_preset("paper-highload", 3),
+    (scenario_from_preset("paper-highload", 3), default_gnb(),
      "b51a603ea490ac506d190a6f3d55e4c617c8177c1a6b40d0886f55bfc2381be8"),
-    (normal_scenario(3, duration_ms=5000),
+    (normal_scenario(3, duration_ms=5000), default_gnb(),
      "8509685a68889f1ece627396604f5bafb74409ff965f86f9369fd8b588e7b6f4"),
-    (scenario_from_preset("paper-attack-50", 3),
+    (scenario_from_preset("paper-attack-50", 3), default_gnb(),
      "49e83193f6909fdb719424ea9a871949dc3266adad7cae7504ba75fa106a2748"),
+    (ScenarioSpec(kind=ScenarioKind.ATTACK, duration_ms=3000, seed=3, preconnected_bue=4,
+                  attacker_rate_per_s=200.0, onset_ms=700, benign_hold_ms=200,
+                  background=TruncatedPoissonSpec(lam=0.3, k_max=2, tick_ms=7)),
+     default_gnb(),
+     "c4e83ffe17a2a1d6e3783ebdee0c45857603fa86f82ce7e237b9110ed81af6c0"),
+    (dataclasses.replace(EDGE_HIGHLOAD, t300_ms=1), MSG4_AFTER_5MS,
+     "b4ce3ca6adeaa8da4a277ec775924403eced38fe64d8463cef3fdf08b2ca2f85"),
+    (dataclasses.replace(EDGE_HIGHLOAD, t300_ms=5), MSG4_AFTER_5MS,
+     "5a0983105eadb7cf9b781247191703c065f9b667ca9db05b46e3ae8bf1fd1cc2"),
+    (highload_scenario(3), GnbConfig(waiting_time_ms=5, msg3_to_msg4_delay_ms=5),
+     "d186991636db42b0cad01f85d81bb27ee6fdacd4a66974be62f02c12eb6b9d8d"),
 ]
 
 
-@pytest.mark.parametrize("scenario,digest", TRACE_DIGESTS,
-                         ids=["paper-highload", "normal-5s", "paper-attack-50"])
-def test_trace_digest_stable(tmp_path, scenario, digest):
+@pytest.mark.parametrize("scenario,gnb,digest", TRACE_DIGESTS,
+                         ids=["paper-highload", "normal-5s", "paper-attack-50",
+                              "attack-background-same-tick", "t300-before-msg4",
+                              "t300-on-msg4", "expiry-on-msg4"])
+def test_trace_digest_stable(tmp_path, scenario, gnb, digest):
     path = tmp_path / "regen.rrctrace.jsonl"
-    write_trace(run(scenario, default_gnb()).trace, path)
+    write_trace(run(scenario, gnb).trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -26,7 +26,12 @@ from rrcstorm import (
 )
 from rrcstorm.presets import PRESET_NAMES, default_gnb, normal_scenario, scenario_from_preset
 
-from helpers import any_order_traces, occupancy_timeline, reference_summarize_trace
+from helpers import (
+    ReferenceEngine,
+    any_order_traces,
+    occupancy_timeline,
+    reference_summarize_trace,
+)
 
 
 def attack(duration_ms=3000, seed=1, rate=132.07, preconnected=0, **kwargs):
@@ -385,6 +390,49 @@ def test_summarize_engine_trace_equals_reference(preset):
     gnb = default_gnb()
     result = run(scenario_from_preset(preset, 3), gnb)
     assert result == reference_summarize_trace(result.trace, gnb.waiting_time_ms)
+
+
+@st.composite
+def engine_configs(draw):
+    """A (ScenarioSpec, GnbConfig) pair at the engine's tie points: trains on the
+    same tick, T300 below, at or above the Msg4 delay, an expiry at the Msg4's ms,
+    zero delays and up to three Msg1 per 1 ms frame."""
+    frame_ms = draw(st.sampled_from([1, 1, 2, 7]))
+    delay = draw(st.integers(0, 5))
+    waiting = draw(st.sampled_from([max(delay, 1), 1, 40, 300]))
+    gnb = GnbConfig(capacity=draw(st.integers(1, 6)), waiting_time_ms=waiting,
+                    frame_ms=frame_ms, max_msg1_per_frame=draw(st.integers(1, 3)),
+                    msg3_to_msg4_delay_ms=delay)
+    kind = draw(st.sampled_from(ScenarioKind))
+    background = None
+    if kind is ScenarioKind.NORMAL or draw(st.booleans()):
+        background = TruncatedPoissonSpec(
+            lam=draw(st.sampled_from([0.0, 0.5, 2.0])), k_max=draw(st.integers(0, 3)),
+            tick_ms=draw(st.sampled_from([frame_ms, 1, 5, 50])))
+    duration = draw(st.integers(1, 400))
+    onset = draw(st.integers(0, duration - 1))
+    rate = draw(st.sampled_from([5.0, 40.0, 333.3, 1e4]))
+    scenario = ScenarioSpec(
+        kind=kind, duration_ms=duration, seed=draw(st.integers(0, 2**16)),
+        preconnected_bue=draw(st.integers(0, gnb.capacity)),
+        attacker_rate_per_s=rate if kind is ScenarioKind.ATTACK else None,
+        benign_fleet_rate_per_s=rate if kind is ScenarioKind.HIGH_LOAD else None,
+        background=background,
+        msg4_to_msg5_delay_ms=draw(st.sampled_from([0, 1, 10])),
+        onset_ms=onset, onset_jitter_ms=draw(st.integers(0, duration - onset)),
+        t300_ms=draw(st.sampled_from([max(delay - 1, 1), max(delay, 1), delay + 1, 30])),
+        max_retries=draw(st.integers(0, 3)),
+        benign_hold_ms=draw(st.sampled_from([None, 0, 20])))
+    return scenario, gnb
+
+
+@settings(deadline=None, max_examples=300)
+@given(engine_configs())
+def test_engine_equals_reference_engine(config):
+    # The engine runs trains inline and skips timers that cannot fire; the reference
+    # queues each of them, so the two must agree on every trace and metric.
+    scenario, gnb = config
+    assert run(scenario, gnb) == ReferenceEngine(scenario, gnb).run()
 
 
 MS_CONFIGS = [attack(), GnbConfig(), TruncatedPoissonSpec(), DetectorConfig()]

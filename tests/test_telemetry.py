@@ -285,8 +285,88 @@ plain_ue = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
 @settings(deadline=None)
 @given(st.integers(min_value=0) | st.booleans(), kind_and_cause, any_ue)
 def test_trace_line_equals_json_dumps(t, kind_and_cause, ue):
+    # Where read_trace would not give the event back (a bool t, a ue holding a
+    # surrogate pair), trace_line refuses it instead.
     event = RrcEvent(t, kind_and_cause[0], ue, kind_and_cause[1])
-    assert trace_line(event) == json_trace_line(event)
+    line = json_trace_line(event)
+    if outcome(read_trace, io.StringIO(line + "\n")) == [event]:
+        assert trace_line(event) == line
+    else:
+        with pytest.raises(ValueError, match="^event 0: "):
+            trace_line(event)
+
+
+def first_refusal(events):
+    """(index, reason) of the first line read_trace refuses in the json.dumps form
+    of events, or None if it reads them all."""
+    text = "".join(json_trace_line(e) + "\n" for e in events)
+    try:
+        read_trace(io.StringIO(text))
+    except TraceParseError as exc:
+        return exc.line_no - 1, exc.reason
+    return None
+
+
+MO_DATA = EstablishmentCause.MO_DATA
+
+
+@pytest.mark.parametrize("events", [
+    [RrcEvent(True, MsgKind.MSG1, "u")],
+    [RrcEvent(-5, MsgKind.MSG1, "u")],
+    [RrcEvent(0, MsgKind.MSG1, "u"), RrcEvent(0, MsgKind.MSG2, "")],
+    [RrcEvent(0, MsgKind.MSG1, "u"), RrcEvent(0, MsgKind.MSG3, "u")],
+    [RrcEvent(0, MsgKind.MSG3, "u", MO_DATA), RrcEvent(0, MsgKind.MSG1, "u", MO_DATA)],
+    [RrcEvent(5, MsgKind.MSG1, "u"), RrcEvent(5, MsgKind.MSG2, "u"), RrcEvent(3, MsgKind.MSG4, "u")],
+], ids=["bool-t", "negative-t", "empty-ue", "msg3-without-cause", "cause-on-msg1", "regression"])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, events):
+    index, reason = first_refusal(events)
+    with pytest.raises(ValueError) as excinfo:
+        write_trace(events, io.StringIO())
+    assert str(excinfo.value) == f"event {index}: {reason}"
+    path = tmp_path / "t.rrctrace.jsonl"
+    with pytest.raises(ValueError):
+        write_trace(iter(events), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def loose_events(draw):
+    """Event lists in which about one event in ten breaks one of read_trace's rules:
+    a t that is a bool or negative, an empty ue, a kind that is not a MsgKind, or a
+    cause missing on msg3, set elsewhere or not an EstablishmentCause. Half of the
+    lists keep their timestamps in draw order, which may regress."""
+    events = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind, cause = draw(kind_and_cause)
+        t, ue = draw(st.integers(0, 30)), draw(any_ue)
+        rule = draw(st.integers(0, 40))
+        if rule == 0:
+            t = draw(st.sampled_from([-1, True, False]))
+        elif rule == 1:
+            ue = ""
+        elif rule == 2:
+            kind = draw(st.sampled_from([GnbState.ATTACK, "msg3", None]))
+        elif rule == 3:
+            cause = draw(st.sampled_from([None, MO_DATA, "mo_data", GnbState.ATTACK]))
+        events.append(RrcEvent(t, kind, ue, cause))
+    if draw(st.booleans()):
+        events.sort(key=lambda e: e.t)
+    return events
+
+
+@settings(deadline=None, max_examples=300)
+@given(loose_events())
+def test_write_trace_raises_or_round_trips(events):
+    buf = io.StringIO()
+    try:
+        write_trace(events, buf)
+    except ValueError as exc:
+        index = int(str(exc).split(":")[0].removeprefix("event "))
+        assert write_trace(events[:index], io.StringIO()) == index
+        with pytest.raises(ValueError):
+            write_trace(events[:index + 1], io.StringIO())
+    else:
+        assert read_trace(io.StringIO(buf.getvalue())) == events
 
 
 def _mutate(line, how, rng):
@@ -333,7 +413,7 @@ def mutated_traces(draw):
     for _ in range(draw(st.integers(0, 12))):
         t += draw(st.integers(0, 3))
         kind, cause = draw(kind_and_cause)
-        lines.append(trace_line(RrcEvent(t, kind, draw(plain_ue | any_ue), cause)))
+        lines.append(json_trace_line(RrcEvent(t, kind, draw(plain_ue | any_ue), cause)))
     rng = draw(st.randoms(use_true_random=False))
     if lines:
         mutations = draw(st.dictionaries(st.integers(0, len(lines) - 1),
