@@ -26,7 +26,7 @@ class EstablishmentCause(str, Enum):
     HIGH_PRIORITY_ACCESS = "high_priority_access"
 
 
-_MSG3 = MsgKind.MSG3   # bound once for the per-event check in validate_stream
+_MSG3 = MsgKind.MSG3   # bound once for the per-event checks
 
 
 def _require_int_ms(config: object) -> None:
@@ -68,23 +68,39 @@ class StreamViolation:
         return f"event {self.index}: {self.reason}"
 
 
+def _event_refusal(t, kind, ue, cause, prev_t: int) -> Optional[str]:
+    """Why a trace may not hold the event (t, kind, ue, cause) after one at prev_t, or
+    None. The one rule, in read_trace's order and words: t an int >= 0 that did not
+    regress, kind a MsgKind, ue a non-empty str, and cause an EstablishmentCause on
+    msg3 and None on every other kind.
+    """
+    if type(t) is not int or t < 0:
+        return f"'t' must be a non-negative integer, got {t!r}"
+    if t < prev_t:
+        return f"timestamp regression {prev_t} -> {t}"
+    if type(kind) is not MsgKind:
+        return f"unknown kind {kind!r}"
+    if type(ue) is not str or not ue:
+        return "'ue' must be a non-empty string"
+    if kind is not _MSG3:
+        return None if cause is None else f"cause not allowed on {kind.value}"
+    if cause is None:
+        return "msg3 record without cause"
+    return None if type(cause) is EstablishmentCause else f"unknown cause {cause!r}"
+
+
 def validate_stream(events: Iterable[RrcEvent]) -> Optional[StreamViolation]:
     """Return the first violation in an ordered event stream, or None if ok.
 
-    Violations are data findings, not failures: negative timestamp, timestamp
-    regression between adjacent events, cause missing on MSG3, cause present
-    on a non-MSG3 event.
+    Violations are data findings, not failures: a negative timestamp, a timestamp
+    regression between adjacent events, a cause missing on MSG3 or present on any
+    other event, each in read_trace's words. Kinds, refs and cause types are tested
+    only on an event that fails one of these, which then gets its first fault.
     """
     prev_t = 0    # a first event below 0 is negative, never a regression
     for i, ev in enumerate(events):
         t = ev.t
-        if t < prev_t:
-            if t < 0:
-                return StreamViolation(i, f"negative timestamp {t}")
-            return StreamViolation(i, f"timestamp regression {prev_t} -> {t}")
-        if (ev.kind is _MSG3) is (ev.cause is None):
-            if ev.kind is _MSG3:
-                return StreamViolation(i, "msg3 without establishment cause")
-            return StreamViolation(i, f"cause set on {ev.kind.value}")
+        if t < prev_t or (ev.kind is _MSG3) is (ev.cause is None):
+            return StreamViolation(i, _event_refusal(*ev, prev_t))
         prev_t = t
     return None

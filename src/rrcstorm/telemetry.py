@@ -1,8 +1,10 @@
 """Line-delimited JSON serialization for traces and verdict timelines.
 
 One record per line, fixed key order, UTF-8 with LF endings, so golden files
-are byte-stable and diffable. Parsing is strict: any record the writer could
-not have produced is rejected with its line number.
+are byte-stable and diffable. Parsing is strict: a value the writer cannot
+produce is refused with its line number, in whatever JSON spelling it comes
+(reordered keys, inner spaces and -0 read back). Whether an event may stand in
+a trace, and the words for why not, is events._event_refusal's rule.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import IO, Generator, Iterable, Iterator, Union
 
 from .detector import DetectionVerdict, GnbState
-from .events import EstablishmentCause, MsgKind, RrcEvent
+from .events import EstablishmentCause, MsgKind, RrcEvent, _event_refusal
 
 TRACE_SUFFIX = ".rrctrace.jsonl"
 VERDICT_SUFFIX = ".verdicts.jsonl"
@@ -101,32 +103,16 @@ def _trace_lines(events: Iterable[RrcEvent]) -> Iterator[str]:
                 or type(ue) is not str or not ue or (not ue.isascii() and _PAIR.search(ue))
                 or (kind is _MSG3) is (cause is None)
                 or (cause is not None and type(cause) is not EstablishmentCause)):
-            raise ValueError(f"event {i}: {_refusal(t, kind, ue, cause, prev_t)}")
+            reason = (_event_refusal(t, kind, ue, cause, prev_t)
+                      or f"'ue' {ue!r} holds a surrogate pair, which reads back as one character")
+            raise ValueError(f"event {i}: {reason}")
         prev_t = t
-        if cause is None:
-            yield f'{{"t":{t},"kind":"{text[kind]}","ue":{encode(ue)}}}'
-        else:
-            yield f'{{"t":{t},"kind":"msg3","ue":{encode(ue)},"cause":"{text[cause]}"}}'
-
-
-def _refusal(t, kind, ue, cause, prev_t: int) -> str:
-    """Why read_trace refuses the line of an event after one at prev_t, checked in
-    _parse_trace_record's order."""
-    if type(t) is not int or t < 0:
-        return f"'t' must be a non-negative integer, got {t!r}"
-    if t < prev_t:
-        return f"timestamp regression {prev_t} -> {t}"
-    if type(kind) is not MsgKind:
-        return f"unknown kind {kind!r}"
-    if type(ue) is not str or not ue:
-        return "'ue' must be a non-empty string"
-    if _PAIR.search(ue):
-        return f"'ue' {ue!r} holds a surrogate pair, which reads back as one character"
-    if kind is not _MSG3:
-        return f"cause not allowed on {kind.value}"
-    if cause is None:
-        return "msg3 record without cause"
-    return f"unknown cause {cause!r}"
+        try:
+            line = (f'{{"t":{t},"kind":"{text[kind]}","ue":{encode(ue)}}}' if cause is None
+                    else f'{{"t":{t},"kind":"msg3","ue":{encode(ue)},"cause":"{text[cause]}"}}')
+        except ValueError as exc:   # a t of more digits than int() may print
+            raise ValueError(f"event {i}: {exc}") from None
+        yield line
 
 
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:
@@ -163,10 +149,9 @@ def _write_to(fh: IO[str], lines: Iterable[str]) -> int:
 def write_trace(events: Iterable[RrcEvent], sink: Sink) -> int:
     """Write one JSON line per event; returns the record count.
 
-    ValueError ("event 3: ...") for the first event read_trace would refuse or read
-    back as another: a t that is not an int >= 0 or that regressed, a kind that is not
-    a MsgKind, a ue that is not a non-empty str or holds a surrogate pair, or a cause
-    missing on msg3 or set on another kind.
+    ValueError ("event 3: ...") for the first event read_trace would refuse, in its
+    words, or read back as another (a ue holding a surrogate pair), and for a t of
+    more digits than int() may print.
     """
     return _write_lines(_trace_lines(events), sink)
 
@@ -186,9 +171,10 @@ def _load_record(line_no: int, line: str) -> dict:
     return record
 
 
-def _lookup(table: dict, value: object):
-    """Enum member for a JSON string value; None for anything else, hashable or not."""
-    return table.get(value) if isinstance(value, str) else None
+def _member(table: dict, value: object):
+    """The enum member a JSON string names in table; any other value, hashable or not,
+    as it is."""
+    return table.get(value, value) if isinstance(value, str) else value
 
 
 def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
@@ -199,26 +185,12 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
     for key in ("t", "kind", "ue"):
         if key not in record:
             raise TraceParseError(line_no, f"missing key '{key}'")
-    t = record["t"]
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise TraceParseError(line_no, f"'t' must be a non-negative integer, got {t!r}")
-    if t < prev_t:
-        raise TraceParseError(line_no, f"timestamp regression {prev_t} -> {t}")
-    kind = _lookup(_KINDS, record["kind"])
-    if kind is None:
-        raise TraceParseError(line_no, f"unknown kind {record['kind']!r}")
-    ue = record["ue"]
-    if not isinstance(ue, str) or not ue:
-        raise TraceParseError(line_no, "'ue' must be a non-empty string")
-    cause = None
-    if kind is _MSG3:
-        if "cause" not in record:
-            raise TraceParseError(line_no, "msg3 record without cause")
-        cause = _lookup(_CAUSES, record["cause"])
-        if cause is None:
-            raise TraceParseError(line_no, f"unknown cause {record['cause']!r}")
-    elif "cause" in record:
-        raise TraceParseError(line_no, f"cause not allowed on {kind.value}")
+    t, kind, ue, cause = record["t"], _member(_KINDS, record["kind"]), record["ue"], None
+    if "cause" in record:   # a JSON null goes to the rule as "null": refused, not no cause
+        cause = _member(_CAUSES, "null" if record["cause"] is None else record["cause"])
+    reason = _event_refusal(t, kind, ue, cause, prev_t)
+    if reason is not None:
+        raise TraceParseError(line_no, reason)
     return RrcEvent(t, kind, ue, cause)
 
 
@@ -296,9 +268,9 @@ def read_verdicts(source: Source) -> list[DetectionVerdict]:
                     if type(record[key]) not in (int, float):
                         raise TraceParseError(
                             line_no, f"'{key}' must be a number, got {record[key]!r}")
-                state = _lookup(_STATES, record["state"])
-                if state is None:
-                    raise TraceParseError(line_no, f"unknown state {record['state']!r}")
+                state = _member(_STATES, record["state"])
+                if type(state) is not GnbState:
+                    raise TraceParseError(line_no, f"unknown state {state!r}")
                 verdicts.append(DetectionVerdict(
                     record["t"], state, record["n_msg3"], record["n_msg4"], record["n_msg5"],
                     record["r1"], record["r2"]))

@@ -1,9 +1,12 @@
 """Shared test utilities: random valid traces, trace-replay bookkeeping, the plain
-multi-pass forms of the one-pass library loops, kept as their references, a
+multi-pass forms of the one-pass library loops, kept as their references, the
+json.dumps form of trace lines and read_trace's first refusal of them, a
 brute-force window counter as the detector's reference, and an engine that
 queues every timer as the simulator's reference."""
 from __future__ import annotations
 
+import io
+import json
 import os
 import random
 from pathlib import Path
@@ -20,7 +23,9 @@ from rrcstorm import (
     RrcEvent,
     SimResult,
     StreamViolation,
+    TraceParseError,
     classify,
+    read_trace,
     simnet,
 )
 from rrcstorm.analytic import _round_half_up
@@ -96,18 +101,38 @@ def occupancy_timeline(trace, preconnected: int) -> list[int]:
 
 
 def reference_validate_stream(events: Iterable[RrcEvent]) -> Optional[StreamViolation]:
-    """events.validate_stream as four checks per event, in the order it reports them."""
+    """events.validate_stream as four checks per event, in the order and the words
+    read_trace reports them."""
     prev_t = None
     for i, ev in enumerate(events):
         if ev.t < 0:
-            return StreamViolation(i, f"negative timestamp {ev.t}")
+            return StreamViolation(i, f"'t' must be a non-negative integer, got {ev.t}")
         if prev_t is not None and ev.t < prev_t:
             return StreamViolation(i, f"timestamp regression {prev_t} -> {ev.t}")
         if ev.kind is MsgKind.MSG3 and ev.cause is None:
-            return StreamViolation(i, "msg3 without establishment cause")
+            return StreamViolation(i, "msg3 record without cause")
         if ev.kind is not MsgKind.MSG3 and ev.cause is not None:
-            return StreamViolation(i, f"cause set on {ev.kind.value}")
+            return StreamViolation(i, f"cause not allowed on {ev.kind.value}")
         prev_t = ev.t
+    return None
+
+
+def json_trace_line(event: RrcEvent) -> str:
+    """The json.dumps form trace_line must reproduce byte for byte."""
+    record = {"t": event.t, "kind": event.kind.value, "ue": event.ue_ref}
+    if event.cause is not None:
+        record["cause"] = event.cause.value
+    return json.dumps(record, separators=(",", ":"))
+
+
+def first_refusal(events: Iterable[RrcEvent]) -> Optional[tuple[int, str]]:
+    """(index, reason) of the first line read_trace refuses in the json.dumps form
+    of events, or None if it reads them all."""
+    text = "".join(json_trace_line(e) + "\n" for e in events)
+    try:
+        read_trace(io.StringIO(text))
+    except TraceParseError as exc:
+        return exc.line_no - 1, exc.reason
     return None
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from rrcstorm import EstablishmentCause, MsgKind, RrcEvent, validate_stream
 
-from helpers import any_order_traces, random_trace, reference_validate_stream
+from helpers import any_order_traces, first_refusal, random_trace, reference_validate_stream
 
 
 def msg3(t, ue="u0", cause=EstablishmentCause.MO_DATA):
@@ -75,4 +75,7 @@ def test_ordering_check_is_total(seed):
 @settings(deadline=None, max_examples=300)
 @given(any_order_traces())
 def test_validate_stream_equals_reference(events):
-    assert validate_stream(events) == reference_validate_stream(events)
+    violation = validate_stream(events)
+    assert violation == reference_validate_stream(events)
+    # One rule: the reader refuses the same event of the stream's lines, in the same words.
+    assert (violation and (violation.index, violation.reason)) == first_refusal(events)

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import stat
+import sys
 import threading
 from unittest.mock import patch
 
@@ -33,7 +34,7 @@ from rrcstorm.telemetry import (
     verdict_line,
 )
 
-from helpers import random_trace
+from helpers import first_refusal, json_trace_line, random_trace
 
 
 def roundtrip(events):
@@ -122,6 +123,11 @@ class TestReadTrace:
         ('[1,2]', "object"),
         ('{"t":0,"kind":[],"ue":"a"}', "unknown kind []"),
         ('{"t":0,"kind":"msg3","ue":"a","cause":{}}', "unknown cause {}"),
+        ('{"t":0,"kind":"msg1","ue":"a","cause":null}', "cause not allowed on msg1"),
+        ('{"t":0,"kind":"msg3","ue":"a","cause":null}', "unknown cause"),
+        ('{"t":0,"kind":null,"ue":"a"}', "unknown kind None"),
+        ('{"t":0,"kind":"msg1","ue":null}', "'ue' must be a non-empty string"),
+        ('{"t":true,"kind":"msg1","ue":"a"}', "integer, got True"),
     ])
     def test_strict_rejections(self, line, fragment):
         with pytest.raises(TraceParseError) as excinfo:
@@ -236,14 +242,6 @@ def test_verdicts_read_back_as_written_for_any_window(seed, window_and_hop):
     assert read_verdicts(io.StringIO(buf.getvalue())) == as_written
 
 
-def json_trace_line(event):
-    """The json.dumps form trace_line must reproduce byte for byte."""
-    record = {"t": event.t, "kind": event.kind.value, "ue": event.ue_ref}
-    if event.cause is not None:
-        record["cause"] = event.cause.value
-    return json.dumps(record, separators=(",", ":"))
-
-
 def reference_read_trace(text):
     """read_trace without the fast path: every line through _parse_trace_record."""
     events, prev_t = [], 0
@@ -296,17 +294,6 @@ def test_trace_line_equals_json_dumps(t, kind_and_cause, ue):
             trace_line(event)
 
 
-def first_refusal(events):
-    """(index, reason) of the first line read_trace refuses in the json.dumps form
-    of events, or None if it reads them all."""
-    text = "".join(json_trace_line(e) + "\n" for e in events)
-    try:
-        read_trace(io.StringIO(text))
-    except TraceParseError as exc:
-        return exc.line_no - 1, exc.reason
-    return None
-
-
 MO_DATA = EstablishmentCause.MO_DATA
 
 
@@ -326,6 +313,18 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, events):
     path = tmp_path / "t.rrctrace.jsonl"
     with pytest.raises(ValueError):
         write_trace(iter(events), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() prints any number of digits")
+def test_writer_names_a_t_it_cannot_print(tmp_path):
+    events = [RrcEvent(1, MsgKind.MSG1, "u"),
+              RrcEvent(10 ** sys.get_int_max_str_digits(), MsgKind.MSG1, "u")]
+    with pytest.raises(ValueError, match=r"^event 1: Exceeds the limit \(\d+ digits\)"):
+        write_trace(events, io.StringIO())
+    with pytest.raises(ValueError, match="^event 1: "):
+        write_trace(events, tmp_path / "t.rrctrace.jsonl")
     assert list(tmp_path.iterdir()) == []
 
 
