@@ -4,7 +4,8 @@ One record per line, fixed key order, UTF-8 with LF endings, so golden files
 are byte-stable and diffable. Parsing is strict: a value the writer cannot
 produce is refused with its line number, in whatever JSON spelling it comes
 (reordered keys, inner spaces and -0 read back). Whether an event may stand in
-a trace, and the words for why not, is events._event_refusal's rule.
+a trace, and the words for why not, is events._event_refusal's rule; for a
+verdict, _verdict_refusal's, which write_verdicts applies too.
 """
 from __future__ import annotations
 
@@ -12,10 +13,11 @@ import json
 import os
 import re
 from io import BytesIO, TextIOBase
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from pathlib import Path
-from typing import IO, Generator, Iterable, Iterator, Union
+from typing import IO, Generator, Iterable, Iterator, Optional, Union
 
 from .detector import DetectionVerdict, GnbState
 from .events import EstablishmentCause, MsgKind, RrcEvent, _event_refusal
@@ -26,7 +28,7 @@ VERDICT_SUFFIX = ".verdicts.jsonl"
 _KINDS = {k.value: k for k in MsgKind}
 _CAUSES = {c.value: c for c in EstablishmentCause}
 _STATES = {s.value: s for s in GnbState}
-# Member -> its text for the writers, and MSG3 bound once for the reader: a dict
+# Member -> its text for the writers, and MSG3 bound once for the writer: a dict
 # read or a module global costs a tenth of .value or MsgKind.MSG3 per record.
 _TEXT = {m: m.value for enum in (MsgKind, EstablishmentCause, GnbState) for m in enum}
 _MSG3 = MsgKind.MSG3
@@ -34,8 +36,8 @@ _MSG3 = MsgKind.MSG3
 # A whole trace line exactly as trace_line writes it for an int timestamp and a
 # printable-ASCII ue without '"' or '\', so the JSON text is its own value. The
 # empty group after msg3 makes the cause required there and refused elsewhere.
-# A t of more than 18 digits takes the strict parser, as int() refuses over 4300
-# by default; so does every other line, and a canonical line whose t regressed.
+# A block holding any other line, or a t that regressed, goes whole to the strict
+# parser; so does a t of more than 18 digits, as int() refuses over 4300 by default.
 _TRACE_LINE = re.compile(
     '^{"t":(0|[1-9][0-9]{0,17}),'
     f'"kind":"(msg3()|{"|".join(re.escape(k) for k in _KINDS if k != "msg3")})",'
@@ -47,9 +49,10 @@ _TRACE_LINE = re.compile(
 _PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 # Bytes (characters from a text stream) a reader takes at a time, plus the rest
 # of the last line: what a reader holds of its source. This and the lines a
-# writer joins into one write set most of what a replay holds: its tracemalloc
-# peak was 260 KB at 32 KiB and 512 lines, 156 KB at these, at the same speed.
-_BLOCK_SIZE = 1 << 14
+# writer joins into one write set most of what a replay holds: with a block's
+# records built by column, its tracemalloc peak was 336 KB at 16 KiB and 256
+# lines, 189 KB at these and 148 KB at 4 KiB.
+_BLOCK_SIZE = 1 << 13
 _CHUNK_LINES = 256
 
 Sink = Union[str, Path, IO[str]]
@@ -205,26 +208,23 @@ def _strict_lines(text: str, line_no: int, prev_t: int) -> Generator[RrcEvent, N
 
 
 def iter_trace(source: Source) -> Iterator[RrcEvent]:
-    """Parse a trace a block at a time, errors in file order; round-trips write_trace."""
-    finditer, new, kinds, causes = _TRACE_LINE.finditer, tuple.__new__, _KINDS, _CAUSES
-    prev_t = line_no = 0   # line_no: the lines before pos
+    """Parse a trace a block at a time, errors in file order; round-trips write_trace.
+    A block of canonical lines in order is built by column, any other by _strict_lines."""
+    findall, kinds, causes = _TRACE_LINE.findall, _KINDS.__getitem__, _CAUSES.get
+    prev_t = line_no = 0   # line_no: the lines before the block
     try:
         for block in _blocks(source):
-            pos = 0   # where the first line not yet parsed starts
-            for m in finditer(block):
-                t, kind, _, ue, cause = m.groups()
-                t, start = int(t), m.start()
-                if start != pos:   # lines the pattern skipped
-                    prev_t = yield from _strict_lines(block[pos:start], line_no, prev_t)
-                    line_no += block.count("\n", pos, start)
-                line_no += 1
-                if t < prev_t:
-                    _parse_trace_record(line_no, m[0], prev_t)   # raises the regression
-                prev_t, pos = t, m.end() + 1
-                yield new(RrcEvent, (t, kinds[kind], ue, causes.get(cause)))
-            if pos != len(block):
-                prev_t = yield from _strict_lines(block[pos:], line_no, prev_t)
-                line_no += block.count("\n", pos)
+            rows, lines = findall(block), block.count("\n")
+            if len(rows) == lines:
+                t, kind, _, ue, cause = zip(*rows)
+                t = list(map(int, t))
+                if prev_t <= t[0] and t == sorted(t):
+                    yield from map(tuple.__new__, repeat(RrcEvent),
+                                   zip(t, map(kinds, kind), ue, map(causes, cause)))
+                    prev_t, line_no = t[-1], line_no + lines
+                    continue
+            prev_t = yield from _strict_lines(block, line_no, prev_t)
+            line_no += lines
     except UnicodeDecodeError as exc:   # raised on getting line line_no + 1
         raise TraceParseError(line_no + 1, f"not UTF-8: {exc}") from None
 
@@ -235,16 +235,50 @@ def read_trace(source: Source) -> list[RrcEvent]:
 
 
 def verdict_line(verdict: DetectionVerdict) -> str:
-    # r1/r2 fixed at 4 decimals so output bytes are platform independent.
-    return (
-        f'{{"t":{verdict.t_ms},"state":"{_TEXT[verdict.state]}",'
-        f'"n_msg3":{verdict.n_msg3},"n_msg4":{verdict.n_msg4},"n_msg5":{verdict.n_msg5},'
-        f'"r1":{verdict.r1:.4f},"r2":{verdict.r2:.4f}}}'
-    )
+    return f'{{"t":{verdict.t_ms},{_verdict_tail(*verdict[1:])}'
+
+
+def _verdict_tail(state, n_msg3, n_msg4, n_msg5, r1, r2) -> str:
+    # A verdict line after its "t"; r1/r2 at 4 decimals so bytes are platform independent.
+    return (f'"state":"{_TEXT[state]}","n_msg3":{n_msg3},"n_msg4":{n_msg4},'
+            f'"n_msg5":{n_msg5},"r1":{r1:.4f},"r2":{r2:.4f}}}')
+
+
+def _verdict_refusal(t, state, n_msg3, n_msg4, n_msg5, r1, r2) -> Optional[str]:
+    """Why a verdict file may not hold the record, or None: the one rule, in
+    read_verdicts' order and words."""
+    for key, value in (("t", t), ("n_msg3", n_msg3), ("n_msg4", n_msg4), ("n_msg5", n_msg5)):
+        if type(value) is not int:   # not isinstance: JSON true/false decode to bool
+            return f"'{key}' must be an integer, got {value!r}"
+    for key, value in (("r1", r1), ("r2", r2)):
+        if type(value) not in (int, float) or value - value != 0:   # nan and ±inf give nan
+            return f"'{key}' must be a finite number, got {value!r}"
+    return None if type(state) is GnbState else f"unknown state {state!r}"
+
+
+def _verdict_lines(verdicts: Iterable[DetectionVerdict]) -> Iterator[str]:
+    """One line per verdict, its tail formatted and checked once per distinct record;
+    ValueError, naming the verdict's index, for one read_verdicts would refuse."""
+    # v[1:] -> (v[1:], its tail), one per distinct record. A hit counts only for the
+    # same objects: -0.0 == 0.0 and True == 1, yet each prints otherwise.
+    tails = {}
+    for i, v in enumerate(verdicts):
+        t, rest = v[0], v[1:]
+        seen, tail = tails.get(rest, (None, None))
+        if type(t) is not int or seen is None or not all(map(is_, seen, rest)):
+            if (reason := _verdict_refusal(t, *rest)) is not None:
+                raise ValueError(f"verdict {i}: {reason}")
+            seen, tail = tails[rest] = rest, _verdict_tail(*rest)
+        yield f'{{"t":{t},{tail}'
 
 
 def write_verdicts(verdicts: Iterable[DetectionVerdict], sink: Sink) -> int:
-    return _write_lines(map(verdict_line, verdicts), sink)
+    """Write one JSON line per verdict; returns the record count.
+
+    ValueError ("verdict 3: ...") for the first verdict read_verdicts would refuse,
+    in its words.
+    """
+    return _write_lines(_verdict_lines(verdicts), sink)
 
 
 _VERDICT_KEYS = {"t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"}
@@ -259,21 +293,12 @@ def read_verdicts(source: Source) -> list[DetectionVerdict]:
                 record = _load_record(line_no, line)
                 if set(record) != _VERDICT_KEYS:
                     raise TraceParseError(line_no, f"keys must be {sorted(_VERDICT_KEYS)}")
-                # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
-                for key in ("t", "n_msg3", "n_msg4", "n_msg5"):
-                    if type(record[key]) is not int:
-                        raise TraceParseError(
-                            line_no, f"'{key}' must be an integer, got {record[key]!r}")
-                for key in ("r1", "r2"):
-                    if type(record[key]) not in (int, float):
-                        raise TraceParseError(
-                            line_no, f"'{key}' must be a number, got {record[key]!r}")
-                state = _member(_STATES, record["state"])
-                if type(state) is not GnbState:
-                    raise TraceParseError(line_no, f"unknown state {state!r}")
-                verdicts.append(DetectionVerdict(
-                    record["t"], state, record["n_msg3"], record["n_msg4"], record["n_msg5"],
-                    record["r1"], record["r2"]))
+                verdict = DetectionVerdict(
+                    record["t"], _member(_STATES, record["state"]), record["n_msg3"],
+                    record["n_msg4"], record["n_msg5"], record["r1"], record["r2"])
+                if (reason := _verdict_refusal(*verdict)) is not None:
+                    raise TraceParseError(line_no, reason)
+                verdicts.append(verdict)
     except UnicodeDecodeError as exc:   # raised on getting line line_no + 1
         raise TraceParseError(line_no + 1, f"not UTF-8: {exc}") from None
     return verdicts

@@ -192,6 +192,10 @@ class TestVerdicts:
         ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":"1.0","r2":1.0}', "'r1'"),
         ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":null}', "'r2'"),
         ('{"t":650,"state":["attack"],"n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1,"r2":1}', "state"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":NaN,"r2":1.0}',
+         "'r1' must be a finite number, got nan"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":-Infinity}',
+         "'r2' must be a finite number, got -inf"),
     ])
     def test_typed_rejections_carry_line_number(self, line, fragment):
         good = verdict_line(self._verdict())
@@ -199,6 +203,22 @@ class TestVerdicts:
             read_verdicts(io.StringIO(f"{good}\n{line}\n"))
         assert excinfo.value.line_no == 2
         assert fragment in excinfo.value.reason
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_ms", 25.0), ("t_ms", True), ("n_msg3", True), ("n_msg5", 2.0), ("r1", float("nan")),
+        ("r2", float("inf")), ("r1", "0.5"), ("state", "panic"), ("state", None),
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, field, value):
+        verdicts = [self._verdict(t) for t in (625, 650, 675)]
+        verdicts.append(self._verdict()._replace(**{field: value}))
+        with pytest.raises(TraceParseError) as read:
+            read_verdicts(io.StringIO(json_verdict_line(verdicts[3]) + "\n"))
+        with pytest.raises(ValueError) as write:
+            write_verdicts(verdicts, io.StringIO())
+        assert str(write.value) == f"verdict 3: {read.value.reason}"
+        with pytest.raises(ValueError, match="^verdict 3: "):
+            write_verdicts(iter(verdicts), tmp_path / "v.verdicts.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_state_rejected(self):
         line = ('{"t":650,"state":"panic","n_msg3":1,"n_msg4":1,'
@@ -240,6 +260,59 @@ def test_verdicts_read_back_as_written_for_any_window(seed, window_and_hop):
     as_written = [v._replace(r1=float(f"{v.r1:.4f}"), r2=float(f"{v.r2:.4f}"))
                   for v in verdicts]
     assert read_verdicts(io.StringIO(buf.getvalue())) == as_written
+
+
+def json_verdict_line(verdict):
+    """The json.dumps form of a verdict's fields, a state member as its text."""
+    t, state, *rest = verdict
+    return json.dumps(dict(zip(["t", *DetectionVerdict._fields[1:]],
+                               [t, _TEXT.get(state, state), *rest])))
+
+
+def twin(value):
+    """A value equal to value, another object, that may print otherwise: -0.0 for 0.0
+    and back, True for 1, an int 1 for 1.0, a fresh int above the small ints Python
+    shares."""
+    if type(value) is float:
+        return -value if value == 0 else 1 if value == 1 else value
+    if type(value) is int:
+        return bool(value) if value in (0, 1) else int(str(value))
+    return value
+
+
+verdict_ratios = st.sampled_from([0.0, -0.0, 1.0, 1, 0.5, 1 / 3, float("nan")])
+verdict_counts = st.sampled_from([0, 1, True, 7]) | st.integers(257, 2000)
+
+
+@st.composite
+def verdict_lists(draw):
+    """Verdicts that repeat a few records, as the same objects or as twins."""
+    records = draw(st.lists(st.tuples(st.sampled_from(list(GnbState)), *[verdict_counts] * 3,
+                                      *[verdict_ratios] * 2), min_size=1, max_size=4))
+    verdicts = []
+    for t in draw(st.lists(st.integers(0, 5000) | st.sampled_from([25.0, True]), max_size=20)):
+        record = draw(st.sampled_from(records))
+        if draw(st.booleans()):
+            record = [*record[:1], *map(twin, record[1:])]
+        verdicts.append(DetectionVerdict(t, *record))
+    return verdicts
+
+
+@settings(deadline=None)
+@given(verdict_lists())
+def test_write_verdicts_writes_each_verdicts_own_line(verdicts):
+    # Unless read_verdicts refuses one in its json.dumps form: then write_verdicts
+    # refuses the first such verdict, in the reader's words.
+    buf = io.StringIO()
+    try:
+        read_verdicts(io.StringIO("".join(json_verdict_line(v) + "\n" for v in verdicts)))
+    except TraceParseError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            write_verdicts(verdicts, buf)
+        assert str(excinfo.value) == f"verdict {exc.line_no - 1}: {exc.reason}"
+    else:
+        assert write_verdicts(verdicts, buf) == len(verdicts)
+        assert buf.getvalue() == "".join(verdict_line(v) + "\n" for v in verdicts)
 
 
 def reference_read_trace(text):
@@ -688,6 +761,31 @@ class TestBlocks:
         with small_blocks(block_size), pytest.raises(TraceParseError) as exc:
             read_trace(io.StringIO(text))
         assert (exc.value.line_no, str(exc.value)) == (3, "line 3: timestamp regression 7 -> 3")
+
+    @pytest.mark.parametrize("block_size", [telemetry._BLOCK_SIZE, 1, 40, 97])
+    def test_non_ascii_ue_every_40th_line(self, tmp_path, block_size):
+        rng = random.Random(7)
+        events = sorted((e for _ in range(20) for e in random_trace(rng, 100)), key=lambda e: e.t)
+        lines = trace_text(events).splitlines(True)
+        lines[::40] = [line.replace('"ue":"ue-', '"ue":"ü-') for line in lines[::40]]
+        text = "".join(lines)
+        path = tmp_path / "t.rrctrace.jsonl"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_read_trace(text)
+        assert sum("ü" in e.ue_ref for e in expected) == len(lines[::40]) > 20
+        with small_blocks(block_size):
+            assert read_trace(path) == read_trace(io.StringIO(text)) == expected
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_regression_on_the_first_line_after_a_strict_block(self, as_bytes):
+        # Lines of one length in characters, three to a block: block 1 needs the strict
+        # parser for its "ü", and line 4, the first of block 2, regressed.
+        text = "".join(f'{{"t":{t},"kind":"msg1","ue":"{ue}"}}\n'
+                       for t, ue in [(10, "a"), (11, "ü"), (12, "b"), (11, "c"), (13, "d")])
+        source = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        with small_blocks(3 * (text.index("\n") + 1)), pytest.raises(TraceParseError) as exc:
+            read_trace(source)
+        assert str(exc.value) == "line 4: timestamp regression 12 -> 11"
 
 
 def verdict(i):
