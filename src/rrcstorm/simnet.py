@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import chain, cycle, repeat
 from typing import Callable, Optional
 
 from .analytic import _round_half_up
@@ -24,6 +25,7 @@ _MSG1, _MSG2, _MSG3, _MSG4, _MSG5 = (MsgKind.MSG1, MsgKind.MSG2, MsgKind.MSG3,
                                      MsgKind.MSG4, MsgKind.MSG5)
 _MSG3_REJECTED, _CONTEXT_RELEASED = MsgKind.MSG3_REJECTED, MsgKind.CONTEXT_RELEASED
 _MO_DATA = EstablishmentCause.MO_DATA
+_REJECT_RUN = (_MSG1, _MSG2, _MSG3, _MSG3_REJECTED)   # one rejected attacker firing
 _new = tuple.__new__   # what RrcEvent(...) does, minus the frame of its generated __new__
 
 
@@ -281,6 +283,10 @@ class _Engine:
         self.now = 0
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
+        # A benign context's Msg5 connects it before its expiry unless the expiry,
+        # queued first, is due at or before the Msg5: only then is the expiry queued.
+        self._benign_expiry = (gnb.msg3_to_msg4_delay_ms + scenario.msg4_to_msg5_delay_ms
+                               >= gnb.waiting_time_ms)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -294,18 +300,39 @@ class _Engine:
         # time is taken from start, not from the last firing, so rounding never drifts.
         # The next firing runs here unless an entry is queued at or before its time:
         # pushed, it would get the highest seq, so every entry at its time goes first.
-        heap, duration_ms = self._heap, self.scenario.duration_ms
+        # An attacker firing into a full pool is rejected, and so is each later one run
+        # here, as nothing runs between them to free a context: such a run is drawn and
+        # emitted in one step, each ref redrawn while live as _fresh_ref does.
+        heap, duration_ms, now = self._heap, self.scenario.duration_ms, self.now
+        contexts, capacity = self.pool._contexts, self.gnb.capacity
+        attacker = action == self._attacker_cycle
         while True:
-            action()
-            n += 1
-            t_next = start + _round_half_up(n * period_ms)
-            if t_next >= duration_ms:
+            if attacker and len(contexts) >= capacity:
+                end = min(duration_ms, heap[0][0]) if heap else duration_ms
+                getrandbits, times, refs = self.rng.getrandbits, [], []
+                while now < end or not times:
+                    ue_ref = f"mue-{getrandbits(32):08x}"
+                    if ue_ref not in contexts:
+                        times.append(now)
+                        refs.append(ue_ref)
+                        n += 1
+                        now = start + _round_half_up(n * period_ms)
+                self.now, cause = times[-1], self.scenario.attacker_cause
+                self.trace.extend(map(_new, repeat(RrcEvent), zip(
+                    chain.from_iterable(zip(times, times, times, times)), cycle(_REJECT_RUN),
+                    chain.from_iterable(zip(refs, refs, refs, refs)),
+                    cycle((None, None, cause, None)))))
+            else:
+                action()
+                n += 1
+                now = start + _round_half_up(n * period_ms)
+            if now >= duration_ms:
                 return
-            if heap and heap[0][0] <= t_next:
+            if heap and heap[0][0] <= now:
                 self._seq += 1
-                heappush(heap, (t_next, self._seq, self._periodic, (n, start, period_ms, action)))
+                heappush(heap, (now, self._seq, self._periodic, (n, start, period_ms, action)))
                 return
-            self.now = t_next
+            self.now = now
 
     def emit(self, kind: MsgKind, ue_ref: str) -> None:
         self.trace.append(_new(RrcEvent, (self.now, kind, ue_ref, None)))
@@ -322,7 +349,8 @@ class _Engine:
 
     def _ra_and_msg3(self, ue_ref: str, cause: EstablishmentCause,
                      ue: Optional[_BenignUe] = None) -> bool:
-        """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and expiry scheduled.
+        """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and (where it can
+        fire) its expiry scheduled.
 
         ue: the benign UE behind ue_ref, which answers the Msg4; None for the attacker.
         """
@@ -334,10 +362,11 @@ class _Engine:
         if generation is None:
             trace.append(_new(RrcEvent, (now, _MSG3_REJECTED, ue_ref, None)))
             return False
-        seq = self._seq = self._seq + 2
-        heap = self._heap
-        heappush(heap, (now + gnb.msg3_to_msg4_delay_ms, seq - 1, self._gnb_msg4, (ue_ref, ue)))
-        heappush(heap, (now + gnb.waiting_time_ms, seq, self._gnb_expire, (ue_ref, generation)))
+        self._seq += 1
+        heappush(self._heap, (now + gnb.msg3_to_msg4_delay_ms, self._seq, self._gnb_msg4,
+                              (ue_ref, ue)))
+        if ue is None or self._benign_expiry:
+            self.schedule(now + gnb.waiting_time_ms, self._gnb_expire, ue_ref, generation)
         return True
 
     def _gnb_msg4(self, ue_ref: str, ue: Optional[_BenignUe]) -> None:
@@ -360,9 +389,10 @@ class _Engine:
 
     def _benign_attempt(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
         # After an accept, T300 can only fire before the Msg4: at the same ms the Msg4,
-        # queued first, sets got_msg4 and the timer would do nothing.
-        if (not self._ra_and_msg3(ue.ue_ref, cause, ue)
-                or self.scenario.t300_ms < self.gnb.msg3_to_msg4_delay_ms):
+        # queued first, sets got_msg4 and the timer would do nothing. With no retry
+        # left it would do nothing either.
+        if ((not self._ra_and_msg3(ue.ue_ref, cause, ue)
+                or self.scenario.t300_ms < self.gnb.msg3_to_msg4_delay_ms) and ue.retries_left):
             self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
 
     def _benign_msg5(self, ue: _BenignUe) -> None:

@@ -244,14 +244,17 @@ def _verdict_tail(state, n_msg3, n_msg4, n_msg5, r1, r2) -> str:
             f'"n_msg5":{n_msg5},"r1":{r1:.4f},"r2":{r2:.4f}}}')
 
 
+_FLOAT_OVERFLOW = 2**1024 - 2**970   # the least int float() overflows on: it rounds to 2**1024
+
+
 def _verdict_refusal(t, state, n_msg3, n_msg4, n_msg5, r1, r2) -> Optional[str]:
     """Why a verdict file may not hold the record, or None: the one rule, in
     read_verdicts' order and words."""
     for key, value in (("t", t), ("n_msg3", n_msg3), ("n_msg4", n_msg4), ("n_msg5", n_msg5)):
         if type(value) is not int:   # not isinstance: JSON true/false decode to bool
             return f"'{key}' must be an integer, got {value!r}"
-    for key, value in (("r1", r1), ("r2", r2)):
-        if type(value) not in (int, float) or value - value != 0:   # nan and ±inf give nan
+    for key, value in (("r1", r1), ("r2", r2)):   # nan, ±inf and an int float() overflows on
+        if type(value) not in (int, float) or not abs(value) < _FLOAT_OVERFLOW:
             return f"'{key}' must be a finite number, got {value!r}"
     return None if type(state) is GnbState else f"unknown state {state!r}"
 
@@ -265,18 +268,22 @@ def _verdict_lines(verdicts: Iterable[DetectionVerdict]) -> Iterator[str]:
     for i, v in enumerate(verdicts):
         t, rest = v[0], v[1:]
         seen, tail = tails.get(rest, (None, None))
-        if type(t) is not int or seen is None or not all(map(is_, seen, rest)):
-            if (reason := _verdict_refusal(t, *rest)) is not None:
-                raise ValueError(f"verdict {i}: {reason}")
-            seen, tail = tails[rest] = rest, _verdict_tail(*rest)
-        yield f'{{"t":{t},{tail}'
+        try:
+            if type(t) is not int or seen is None or not all(map(is_, seen, rest)):
+                if (reason := _verdict_refusal(t, *rest)) is not None:
+                    raise ValueError(reason)
+                seen, tail = tails[rest] = rest, _verdict_tail(*rest)
+            line = f'{{"t":{t},{tail}'
+        except ValueError as exc:   # refused, or an int of more digits than int() may print
+            raise ValueError(f"verdict {i}: {exc}") from None
+        yield line
 
 
 def write_verdicts(verdicts: Iterable[DetectionVerdict], sink: Sink) -> int:
     """Write one JSON line per verdict; returns the record count.
 
     ValueError ("verdict 3: ...") for the first verdict read_verdicts would refuse,
-    in its words.
+    in its words, and for an int of more digits than int() may print.
     """
     return _write_lines(_verdict_lines(verdicts), sink)
 

@@ -193,15 +193,29 @@ def reference_run_stream(events: list[RrcEvent], config: DetectorConfig) -> list
 
 
 class ReferenceEngine(simnet._Engine):
-    """simnet._Engine with one heap entry per timer: a train queues each firing, a
-    benign UE's reaction to Msg4 is an entry of its own after the gNB's, and T300
-    is queued after every attempt, even where Msg4 always comes first."""
+    """simnet._Engine with one heap entry per timer: a train queues each firing, one
+    at a time, even into a full pool; an accepted Msg3 queues its expiry, even where
+    the Msg5 always comes first; a benign UE's reaction to Msg4 is an entry of its
+    own after the gNB's; and T300 is queued after every attempt, even where Msg4
+    always comes first or no retry is left."""
 
     def _periodic(self, n, start, period_ms, action):
         action()
         t_next = start + _round_half_up((n + 1) * period_ms)
         if t_next < self.scenario.duration_ms:
             self.schedule(t_next, self._periodic, n + 1, start, period_ms, action)
+
+    def _ra_and_msg3(self, ue_ref, cause, ue=None):
+        for kind in (MsgKind.MSG1, MsgKind.MSG2):
+            self.emit(kind, ue_ref)
+        self.trace.append(RrcEvent(self.now, MsgKind.MSG3, ue_ref, cause))
+        generation = self.pool.admit(ue_ref)
+        if generation is None:
+            self.emit(MsgKind.MSG3_REJECTED, ue_ref)
+            return False
+        self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._gnb_msg4, ue_ref, ue)
+        self.schedule(self.now + self.gnb.waiting_time_ms, self._gnb_expire, ue_ref, generation)
+        return True
 
     def _gnb_msg4(self, ue_ref, ue):
         self.emit(MsgKind.MSG4, ue_ref)

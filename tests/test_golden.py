@@ -12,6 +12,8 @@ import pytest
 
 from rrcstorm import (
     GnbConfig,
+    MsgKind,
+    RrcEvent,
     ScenarioKind,
     ScenarioSpec,
     TruncatedPoissonSpec,
@@ -65,9 +67,13 @@ def test_replaying_golden_trace_reproduces_golden_verdicts(tmp_path):
 # (normal), and a storm against a half-occupied paper gNB (paper-attack-50).
 # Then the engine's ties, pinned before its trains ran inline: a storm and
 # background ticks on the same 7 ms grid; T300 firing before a Msg4 delayed
-# 5 ms, and on the Msg4's ms; and an expiry on the Msg4's ms.
+# 5 ms, and on the Msg4's ms; and an expiry on the Msg4's ms. Last, the edges
+# of the timers the engine leaves out, pinned before it did: an expiry on the
+# Msg5's ms, and UEs with no retry left.
 EDGE_HIGHLOAD = dataclasses.replace(highload_scenario(3), preconnected_bue=0, benign_hold_ms=50)
 MSG4_AFTER_5MS = GnbConfig(msg3_to_msg4_delay_ms=5)
+EXPIRY_ON_MSG5 = GnbConfig(waiting_time_ms=15, msg3_to_msg4_delay_ms=5)   # d4 + d5 = 5 + 10
+NO_RETRIES = dataclasses.replace(highload_scenario(3), t300_ms=1, max_retries=0)
 TRACE_DIGESTS = [
     (scenario_from_preset("paper-highload", 3), default_gnb(),
      "b51a603ea490ac506d190a6f3d55e4c617c8177c1a6b40d0886f55bfc2381be8"),
@@ -86,14 +92,39 @@ TRACE_DIGESTS = [
      "5a0983105eadb7cf9b781247191703c065f9b667ca9db05b46e3ae8bf1fd1cc2"),
     (highload_scenario(3), GnbConfig(waiting_time_ms=5, msg3_to_msg4_delay_ms=5),
      "d186991636db42b0cad01f85d81bb27ee6fdacd4a66974be62f02c12eb6b9d8d"),
+    (EDGE_HIGHLOAD, EXPIRY_ON_MSG5,
+     "2f652b564d96776faab7545bd6790df0bf1beb00670190293da4b287d4fa7468"),
+    (NO_RETRIES, MSG4_AFTER_5MS,
+     "67329bdec47ac4e0de7de04ceccf2350f1e962c765c0b54f2ae6f73ebec6593e"),
 ]
 
 
 @pytest.mark.parametrize("scenario,gnb,digest", TRACE_DIGESTS,
                          ids=["paper-highload", "normal-5s", "paper-attack-50",
                               "attack-background-same-tick", "t300-before-msg4",
-                              "t300-on-msg4", "expiry-on-msg4"])
+                              "t300-on-msg4", "expiry-on-msg4", "expiry-on-msg5",
+                              "no-retries"])
 def test_trace_digest_stable(tmp_path, scenario, gnb, digest):
     path = tmp_path / "regen.rrctrace.jsonl"
     write_trace(run(scenario, gnb).trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_expiry_on_the_msg5s_ms_comes_first():
+    # Queued at the Msg3, before the Msg5 is, the expiry releases the context and
+    # the Msg5 that follows on the same ms finds none to connect.
+    trace = run(EDGE_HIGHLOAD, EXPIRY_ON_MSG5).trace
+    msg3_at = {e.ue_ref: e.t for e in trace if e.kind is MsgKind.MSG3}
+    released = [i for i, e in enumerate(trace) if e.kind is MsgKind.CONTEXT_RELEASED]
+    assert len(released) == len(msg3_at) > 0
+    for i in released:
+        ue, t = trace[i].ue_ref, trace[i].t
+        assert t == msg3_at[ue] + 15
+        assert trace[i + 1] == RrcEvent(t, MsgKind.MSG5, ue)
+
+
+def test_no_retry_after_a_reject_or_an_early_t300():
+    result = run(NO_RETRIES, MSG4_AFTER_5MS)
+    msg3 = [e.ue_ref for e in result.trace if e.kind is MsgKind.MSG3]
+    assert result.rejected_msg3 > 0
+    assert len(msg3) == len(set(msg3))

@@ -20,6 +20,7 @@ from rrcstorm import (
     TruncatedPoissonSpec,
     full_model,
     run,
+    simnet,
     summarize_trace,
     truncated_poisson_sample,
     validate_stream,
@@ -433,6 +434,30 @@ def test_engine_equals_reference_engine(config):
     # queues each of them, so the two must agree on every trace and metric.
     scenario, gnb = config
     assert run(scenario, gnb) == ReferenceEngine(scenario, gnb).run()
+
+
+class EightRefs(random.Random):
+    """A Random whose 32-bit draws take one of 8 values, so that a UE ref drawn for
+    a new Msg3 often names a live context."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(3) << 29 if k == 32 else super().getrandbits(k)
+
+
+def run_with_eight_refs(engine_class, scenario, gnb):
+    engine = engine_class(scenario, gnb)
+    engine.rng = EightRefs(scenario.seed)
+    return engine.run()
+
+
+@settings(deadline=None, max_examples=300)
+@given(engine_configs())
+def test_engines_agree_when_drawn_refs_name_live_contexts(config):
+    # A draw naming a live context is drawn again, in a reject run as in _fresh_ref.
+    # With at most 6 contexts and 8 refs per prefix, each redraw ends.
+    scenario, gnb = config
+    assert (run_with_eight_refs(simnet._Engine, scenario, gnb)
+            == run_with_eight_refs(ReferenceEngine, scenario, gnb))
 
 
 MS_CONFIGS = [attack(), GnbConfig(), TruncatedPoissonSpec(), DetectorConfig()]

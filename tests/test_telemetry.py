@@ -196,6 +196,9 @@ class TestVerdicts:
          "'r1' must be a finite number, got nan"),
         ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":-Infinity}',
          "'r2' must be a finite number, got -inf"),
+        pytest.param('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1'
+                     + "0" * 399 + ',"r2":1.0}', f"'r1' must be a finite number, got {10 ** 399}",
+                     id="r1-of-400-digits"),
     ])
     def test_typed_rejections_carry_line_number(self, line, fragment):
         good = verdict_line(self._verdict())
@@ -207,6 +210,8 @@ class TestVerdicts:
     @pytest.mark.parametrize("field,value", [
         ("t_ms", 25.0), ("t_ms", True), ("n_msg3", True), ("n_msg5", 2.0), ("r1", float("nan")),
         ("r2", float("inf")), ("r1", "0.5"), ("state", "panic"), ("state", None),
+        pytest.param("r1", 10 ** 399, id="r1-of-400-digits"),
+        pytest.param("r2", 2 ** 1024 - 2 ** 970, id="r2-that-float-rounds-to-2**1024"),
     ])
     def test_writer_refuses_what_the_reader_refuses(self, tmp_path, field, value):
         verdicts = [self._verdict(t) for t in (625, 650, 675)]
@@ -218,6 +223,21 @@ class TestVerdicts:
         assert str(write.value) == f"verdict 3: {read.value.reason}"
         with pytest.raises(ValueError, match="^verdict 3: "):
             write_verdicts(iter(verdicts), tmp_path / "v.verdicts.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_int_ratio_with_a_float_value_round_trips(self):
+        buf = io.StringIO()
+        write_verdicts([self._verdict(r1=2 ** 1024 - 2 ** 970 - 1)], buf)
+        assert read_verdicts(io.StringIO(buf.getvalue()))[0].r1 == sys.float_info.max
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+                        reason="int() prints 5001 digits")
+    def test_writer_names_a_t_it_cannot_print(self, tmp_path):
+        verdicts = [DetectionVerdict(10 ** 5000, GnbState.NORMAL, 1, 1, 1, 1.0, 1.0)]
+        with pytest.raises(ValueError, match=r"^verdict 0: Exceeds the limit \(\d+ digits\)"):
+            write_verdicts(verdicts, io.StringIO())
+        with pytest.raises(ValueError, match="^verdict 0: "):
+            write_verdicts(verdicts, tmp_path / "v.verdicts.jsonl")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_state_rejected(self):
