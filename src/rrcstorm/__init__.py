@@ -36,7 +36,6 @@ from .events import (
 )
 from .simnet import (
     GnbConfig,
-    ResourcePool,
     ScenarioError,
     ScenarioKind,
     ScenarioSpec,

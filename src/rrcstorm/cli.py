@@ -18,6 +18,7 @@ from . import harness, presets
 from .detector import DetectorConfig, GnbState
 from .events import EstablishmentCause
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, TruncatedPoissonSpec
+from .telemetry import TRACE_SUFFIX, VERDICT_SUFFIX
 
 
 class ConfigError(ValueError):
@@ -106,7 +107,7 @@ def _resolve(args: argparse.Namespace, seed: int,
     else:
         path = Path(args.scenario)
         if not path.exists():
-            raise SystemExit(
+            raise ValueError(
                 f"unknown scenario {args.scenario!r}: not a preset "
                 f"({', '.join(presets.PRESET_NAMES)}) and no such file")
         scenario, gnb, detector = load_config_file(path)
@@ -235,8 +236,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     [detector] = _override(args, detector=presets.default_detector())
     out = args.out
     if out is None:
-        stem = args.trace.name.removesuffix(".rrctrace.jsonl")
-        out = args.trace.with_name(stem + ".verdicts.jsonl")
+        stem = args.trace.name.removesuffix(TRACE_SUFFIX)
+        out = args.trace.with_name(stem + VERDICT_SUFFIX)
     count = harness.cmd_replay(args.trace, detector, out)
     print(f"{count} verdicts -> {out}")
     return 0

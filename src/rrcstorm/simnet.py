@@ -204,73 +204,19 @@ class SimResult:
 
 
 @dataclass
-class _Context:
-    pending: bool
-    generation: int
-
-
-class ResourcePool:
-    """Bounded set of UE contexts with pending-expiry and connected states."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._contexts: dict[str, _Context] = {}
-        self._generation = 0
-
-    def __len__(self) -> int:
-        return len(self._contexts)
-
-    def admit(self, ue_ref: str) -> Optional[int]:
-        """Allocate a pending context; returns its generation or None if full."""
-        if len(self._contexts) >= self.capacity or ue_ref in self._contexts:
-            return None
-        self._generation += 1
-        self._contexts[ue_ref] = _Context(True, self._generation)
-        assert len(self._contexts) <= self.capacity
-        return self._generation
-
-    def preconnect(self, ue_ref: str) -> None:
-        """Seed an already-connected UE at t=0 (emits no events)."""
-        if len(self._contexts) >= self.capacity:
-            raise ScenarioError("preconnected UEs exceed capacity")
-        self._generation += 1
-        self._contexts[ue_ref] = _Context(False, self._generation)
-
-    def complete(self, ue_ref: str) -> bool:
-        """Pending -> Connected on Msg5; False if there is no pending entry."""
-        ctx = self._contexts.get(ue_ref)
-        if ctx is None or not ctx.pending:
-            return False
-        ctx.pending = False
-        return True
-
-    def expire(self, ue_ref: str, generation: int) -> bool:
-        """Drop a still-pending context when its waiting time ran out."""
-        ctx = self._contexts.get(ue_ref)
-        if ctx is None or not ctx.pending or ctx.generation != generation:
-            return False
-        del self._contexts[ue_ref]
-        return True
-
-    def release(self, ue_ref: str) -> bool:
-        """Connected -> removed on UE disconnect."""
-        ctx = self._contexts.get(ue_ref)
-        if ctx is None or ctx.pending:
-            return False
-        del self._contexts[ue_ref]
-        return True
-
-
-@dataclass
 class _BenignUe:
     ue_ref: str
-    hold_ms: Optional[int]
     retries_left: int
     got_msg4: bool = False
 
 
 class _Engine:
-    """Event loop: heap keyed by (t, seq); ties resolve in insertion order."""
+    """Event loop: heap keyed by (t, seq); ties resolve in insertion order.
+
+    contexts is the gNB's bounded pool: each ue_ref holding a context maps to the
+    generation of its pending context (1, 2, ... in admission order), or to 0 once
+    the context is connected. Preconnected UEs are connected at t=0 and emit nothing.
+    """
 
     def __init__(self, scenario: ScenarioSpec, gnb: GnbConfig):
         if scenario.preconnected_bue > gnb.capacity:
@@ -278,7 +224,8 @@ class _Engine:
         self.scenario = scenario
         self.gnb = gnb
         self.rng = random.Random(scenario.seed)
-        self.pool = ResourcePool(gnb.capacity)
+        self.contexts: dict[str, int] = {}
+        self._generation = 0
         self.trace: list[RrcEvent] = []
         self.now = 0
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
@@ -304,7 +251,7 @@ class _Engine:
         # here, as nothing runs between them to free a context: such a run is drawn and
         # emitted in one step, each ref redrawn while live as _fresh_ref does.
         heap, duration_ms, now = self._heap, self.scenario.duration_ms, self.now
-        contexts, capacity = self.pool._contexts, self.gnb.capacity
+        contexts, capacity = self.contexts, self.gnb.capacity
         attacker = action == self._attacker_cycle
         while True:
             if attacker and len(contexts) >= capacity:
@@ -338,11 +285,10 @@ class _Engine:
         self.trace.append(_new(RrcEvent, (self.now, kind, ue_ref, None)))
 
     def _fresh_ref(self, prefix: str) -> str:
-        # Redraw on a live ref: admit() would reject it although the pool has room.
-        contexts = self.pool._contexts
+        # Redraw on a live ref: _ra_and_msg3 would reject it although the pool has room.
         while True:
             ue_ref = f"{prefix}-{self.rng.getrandbits(32):08x}"
-            if ue_ref not in contexts:
+            if ue_ref not in self.contexts:
                 return ue_ref
 
     # -- gNB --------------------------------------------------------------
@@ -354,19 +300,21 @@ class _Engine:
 
         ue: the benign UE behind ue_ref, which answers the Msg4; None for the attacker.
         """
-        now, gnb, trace = self.now, self.gnb, self.trace
+        now, gnb, trace, contexts = self.now, self.gnb, self.trace, self.contexts
         trace.extend((_new(RrcEvent, (now, _MSG1, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG2, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG3, ue_ref, cause))))
-        generation = self.pool.admit(ue_ref)
-        if generation is None:
+        if len(contexts) >= gnb.capacity or ue_ref in contexts:
             trace.append(_new(RrcEvent, (now, _MSG3_REJECTED, ue_ref, None)))
             return False
+        self._generation += 1
+        contexts[ue_ref] = self._generation
+        assert len(contexts) <= gnb.capacity
         self._seq += 1
         heappush(self._heap, (now + gnb.msg3_to_msg4_delay_ms, self._seq, self._gnb_msg4,
                               (ue_ref, ue)))
         if ue is None or self._benign_expiry:
-            self.schedule(now + gnb.waiting_time_ms, self._gnb_expire, ue_ref, generation)
+            self.schedule(now + gnb.waiting_time_ms, self._gnb_expire, ue_ref, self._generation)
         return True
 
     def _gnb_msg4(self, ue_ref: str, ue: Optional[_BenignUe]) -> None:
@@ -376,7 +324,9 @@ class _Engine:
             self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
 
     def _gnb_expire(self, ue_ref: str, generation: int) -> None:
-        if self.pool.expire(ue_ref, generation):
+        # Only the context this expiry was queued for, while it is still pending.
+        if self.contexts.get(ue_ref) == generation:
+            del self.contexts[ue_ref]
             self.emit(_CONTEXT_RELEASED, ue_ref)
 
     # -- attacker ---------------------------------------------------------
@@ -397,23 +347,26 @@ class _Engine:
 
     def _benign_msg5(self, ue: _BenignUe) -> None:
         self.emit(_MSG5, ue.ue_ref)
-        # Connect the matching pending context; a stale Msg5 changes nothing.
-        if self.pool.complete(ue.ue_ref) and ue.hold_ms is not None:
-            self.schedule(self.now + ue.hold_ms, self._benign_leave, ue)
+        # Connect a pending context; a stale Msg5 changes nothing.
+        if self.contexts.get(ue.ue_ref):
+            self.contexts[ue.ue_ref] = 0
+            if self.scenario.benign_hold_ms is not None:
+                self.schedule(self.now + self.scenario.benign_hold_ms, self._benign_leave, ue)
 
     def _benign_leave(self, ue: _BenignUe) -> None:
-        if self.pool.release(ue.ue_ref):
-            self.emit(_CONTEXT_RELEASED, ue.ue_ref)
+        # Only a connect queues this, and only this removes a connected context.
+        del self.contexts[ue.ue_ref]
+        self.emit(_CONTEXT_RELEASED, ue.ue_ref)
 
     def _benign_t300(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        if ue.got_msg4 or ue.retries_left == 0:
+        # Queued only while a retry is left (_benign_attempt).
+        if ue.got_msg4:
             return
         ue.retries_left -= 1
         self._benign_attempt(ue, cause)
 
     def _spawn_benign(self) -> None:
-        ue = _BenignUe(self._fresh_ref("bue"), self.scenario.benign_hold_ms,
-                       self.scenario.max_retries)
+        ue = _BenignUe(self._fresh_ref("bue"), self.scenario.max_retries)
         self._benign_attempt(ue, _MO_DATA)
 
     def _background_tick(self) -> None:
@@ -423,8 +376,7 @@ class _Engine:
     # -- run --------------------------------------------------------------
 
     def run(self) -> SimResult:
-        for i in range(self.scenario.preconnected_bue):
-            self.pool.preconnect(f"pre-{i}")
+        self.contexts.update((f"pre-{i}", 0) for i in range(self.scenario.preconnected_bue))
 
         onset = self.scenario.onset_ms
         if self.scenario.onset_jitter_ms:

@@ -197,7 +197,7 @@ class ReferenceEngine(simnet._Engine):
     at a time, even into a full pool; an accepted Msg3 queues its expiry, even where
     the Msg5 always comes first; a benign UE's reaction to Msg4 is an entry of its
     own after the gNB's; and T300 is queued after every attempt, even where Msg4
-    always comes first or no retry is left."""
+    always comes first or no retry is left; such a timer does nothing."""
 
     def _periodic(self, n, start, period_ms, action):
         action()
@@ -209,12 +209,14 @@ class ReferenceEngine(simnet._Engine):
         for kind in (MsgKind.MSG1, MsgKind.MSG2):
             self.emit(kind, ue_ref)
         self.trace.append(RrcEvent(self.now, MsgKind.MSG3, ue_ref, cause))
-        generation = self.pool.admit(ue_ref)
-        if generation is None:
+        if len(self.contexts) >= self.gnb.capacity or ue_ref in self.contexts:
             self.emit(MsgKind.MSG3_REJECTED, ue_ref)
             return False
+        self._generation += 1
+        self.contexts[ue_ref] = self._generation
         self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._gnb_msg4, ue_ref, ue)
-        self.schedule(self.now + self.gnb.waiting_time_ms, self._gnb_expire, ue_ref, generation)
+        self.schedule(self.now + self.gnb.waiting_time_ms, self._gnb_expire, ue_ref,
+                      self._generation)
         return True
 
     def _gnb_msg4(self, ue_ref, ue):
@@ -228,3 +230,7 @@ class ReferenceEngine(simnet._Engine):
     def _benign_on_msg4(self, ue):
         ue.got_msg4 = True
         self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
+
+    def _benign_t300(self, ue, cause):
+        if ue.retries_left:
+            super()._benign_t300(ue, cause)

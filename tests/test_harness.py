@@ -233,6 +233,18 @@ class TestCli:
         live = (tmp_path / "paper-attack-0-seed2.verdicts.jsonl").read_bytes()
         assert (tmp_path / "re.verdicts.jsonl").read_bytes() == live
 
+    def test_replay_without_out_writes_verdicts_next_to_trace(self, tmp_path, capsys):
+        run_dir, replay_dir = tmp_path / "run", tmp_path / "replay"
+        main(["run", "--scenario", "paper-attack-0", "--seed", "2", "--out", str(run_dir)])
+        replay_dir.mkdir()
+        trace = replay_dir / "storm.rrctrace.jsonl"
+        trace.write_bytes((run_dir / "paper-attack-0-seed2.rrctrace.jsonl").read_bytes())
+        assert main(["replay", str(trace)]) == 0
+        assert sorted(p.name for p in replay_dir.iterdir()) == [
+            "storm.rrctrace.jsonl", "storm.verdicts.jsonl"]
+        live = (run_dir / "paper-attack-0-seed2.verdicts.jsonl").read_bytes()
+        assert (replay_dir / "storm.verdicts.jsonl").read_bytes() == live
+
     def test_replay_rejects_threshold_of_one(self, tmp_path, capsys):
         trace = tmp_path / "t.rrctrace.jsonl"
         trace.write_text("")
@@ -240,9 +252,10 @@ class TestCli:
         assert rc == 2
         assert "r1_threshold" in capsys.readouterr().err
 
-    def test_unknown_scenario_fails(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", "--scenario", "no-such-preset", "--out", str(tmp_path)])
+    def test_unknown_scenario_fails(self, tmp_path, capsys):
+        rc = main(["run", "--scenario", "no-such-preset", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown scenario 'no-such-preset'")
 
     def test_config_file_scenario(self, tmp_path, capsys):
         config = {

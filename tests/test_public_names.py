@@ -9,7 +9,7 @@ from helpers import child_env
 
 PUBLIC_NAMES = [
     "AnalyticInputs", "AnalyticOutputs", "DetectionVerdict", "DetectorConfig",
-    "EstablishmentCause", "GnbConfig", "GnbState", "MsgKind", "ResourcePool", "RrcEvent",
+    "EstablishmentCause", "GnbConfig", "GnbState", "MsgKind", "RrcEvent",
     "ScenarioError", "ScenarioKind", "ScenarioSpec", "SimResult", "StreamOrderError",
     "StreamViolation", "TRACE_SUFFIX", "TraceParseError", "TruncatedPoissonSpec",
     "VERDICT_SUFFIX", "WAITING_TIME_EFFECTIVE_MS", "WAITING_TIME_NOMINAL_MS",
@@ -28,4 +28,4 @@ def test_public_names_of_a_fresh_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=60, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 45

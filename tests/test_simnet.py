@@ -13,7 +13,6 @@ from rrcstorm import (
     EstablishmentCause,
     GnbConfig,
     MsgKind,
-    ResourcePool,
     ScenarioError,
     ScenarioKind,
     ScenarioSpec,
@@ -45,48 +44,6 @@ def msg3_times(trace):
     return [e.t for e in trace if e.kind is MsgKind.MSG3]
 
 
-class TestResourcePool:
-    def test_admit_below_capacity(self):
-        pool = ResourcePool(16)
-        for i in range(15):
-            pool.preconnect(f"pre-{i}")
-        assert pool.admit("ue") is not None
-        assert len(pool) == 16
-
-    def test_reject_at_capacity(self):
-        pool = ResourcePool(16)
-        for i in range(16):
-            pool.preconnect(f"pre-{i}")
-        assert pool.admit("ue") is None
-
-    def test_readmit_after_expiry(self):
-        pool = ResourcePool(1)
-        generation = pool.admit("a")
-        assert pool.admit("b") is None
-        assert pool.expire("a", generation)
-        assert pool.admit("b") is not None
-
-    def test_msg5_connects_pending(self):
-        pool = ResourcePool(2)
-        pool.admit("a")
-        assert pool.complete("a")
-        # timer canceled: the expiry no longer removes the context
-        assert not pool.expire("a", 1)
-        assert len(pool) == 1
-
-    def test_msg5_without_entry_ignored(self):
-        pool = ResourcePool(2)
-        assert not pool.complete("b")
-
-    def test_release_requires_connected(self):
-        pool = ResourcePool(2)
-        pool.admit("a")
-        assert not pool.release("a")
-        pool.complete("a")
-        assert pool.release("a")
-        assert len(pool) == 0
-
-
 class TestAttackRun:
     def test_paper_defaults_cold_start(self):
         result = run(attack(), GnbConfig())
@@ -106,6 +63,22 @@ class TestAttackRun:
         assert rejects[0] == 20
         assert result.accepted_msg3 == 2
         assert result.drop_time_ms == 20
+
+    def test_readmission_after_expiry_hand_trace(self):
+        # One context, held 30 ms: the Msg3 at t=0 takes it, 10 and 20 are rejected,
+        # the expiry queued at t=0 frees it at 30 before that ms's Msg3, which takes it
+        # again, and 40 is rejected. Its own expiry frees it after the run, at 60.
+        gnb = GnbConfig(capacity=1, waiting_time_ms=30,
+                        msg3_to_msg4_delay_ms=0, max_msg1_per_frame=1000)
+        trace = run(attack(duration_ms=45, rate=100.0), gnb).trace
+        pool_events = [(e.t, e.kind.value) for e in trace if e.kind in (
+            MsgKind.MSG3, MsgKind.MSG3_REJECTED, MsgKind.CONTEXT_RELEASED)]
+        assert pool_events == [
+            (0, "msg3"), (10, "msg3"), (10, "msg3_rejected"), (20, "msg3"),
+            (20, "msg3_rejected"), (30, "context_released"), (30, "msg3"),
+            (40, "msg3"), (40, "msg3_rejected"), (60, "context_released")]
+        holders = [e.ue_ref for e in trace if e.kind is MsgKind.MSG4]
+        assert [e.ue_ref for e in trace if e.kind is MsgKind.CONTEXT_RELEASED] == holders
 
     def test_normal_background_never_saturates(self):
         result = run(normal_scenario(seed=3, duration_ms=60_000), GnbConfig())
