@@ -10,12 +10,9 @@ from .analytic import (
     AnalyticOutputs,
     WAITING_TIME_EFFECTIVE_MS,
     WAITING_TIME_NOMINAL_MS,
-    accept_reject_durations,
-    accepted_count,
     availability_rate,
     drop_time,
     full_model,
-    rejected_count,
 )
 from .detector import (
     DetectionVerdict,

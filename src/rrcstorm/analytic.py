@@ -79,41 +79,6 @@ def drop_time(inputs: AnalyticInputs) -> float:
     return free / inputs.attack_rate_per_s * 1000.0
 
 
-def accept_reject_durations(inputs: AnalyticInputs) -> tuple[float, float, bool]:
-    """Split one waiting period into (accept_ms, reject_ms, overloaded).
-
-    The accept duration equals the drop time and the remainder of the waiting
-    time is spent rejecting. Overload only occurs when the pool fills faster
-    than contexts expire (drop time <= waiting time); otherwise the gNB stays
-    available for the whole period and the reject duration is zero.
-    """
-    t_drop = drop_time(inputs)
-    if t_drop > inputs.waiting_time_ms:
-        return inputs.waiting_time_ms, 0.0, False
-    return t_drop, inputs.waiting_time_ms - t_drop, True
-
-
-def accepted_count(inputs: AnalyticInputs) -> int:
-    """Contexts the flood can consume: capacity minus already-connected UEs."""
-    return inputs.capacity - inputs.connected_ues
-
-
-def rejected_count(inputs: AnalyticInputs) -> tuple[int, int]:
-    """Requests rejected during the reject phase, as (exact, approx).
-
-    Exact multiplies the reject duration by the total incoming Msg3 rate;
-    the approximation drops the benign term, which is negligible against a
-    flood. Both are zero when no overload occurs.
-    """
-    _, t_reject, overloaded = accept_reject_durations(inputs)
-    if not overloaded:
-        return 0, 0
-    reject_s = t_reject / 1000.0
-    exact = _round_half_up(reject_s * (inputs.attack_rate_per_s + inputs.benign_rate_per_s))
-    approx = _round_half_up(reject_s * inputs.attack_rate_per_s)
-    return exact, approx
-
-
 def availability_rate(accepted: Sequence[int], rejected: Sequence[int]) -> tuple[float, float]:
     """Percentage of requests served across repetitions, and its complement.
 
@@ -129,15 +94,25 @@ def availability_rate(accepted: Sequence[int], rejected: Sequence[int]) -> tuple
 
 
 def full_model(inputs: AnalyticInputs) -> AnalyticOutputs:
-    """All six outputs for a single repetition."""
+    """All six outputs for a single repetition.
+
+    The flood takes the free capacity in the drop time. Overload occurs only when
+    that is within the waiting time, whose remainder is then spent rejecting at the
+    total Msg3 rate (rejected), or, neglecting the benign rate, at the attack rate
+    (rejected_approx). Otherwise the gNB stays available and rejects nothing.
+    """
     t_drop = drop_time(inputs)
-    t_accept, t_reject, overloaded = accept_reject_durations(inputs)
-    n_accepted = accepted_count(inputs)
-    n_rejected, n_rejected_approx = rejected_count(inputs)
-    if n_accepted + n_rejected > 0:
-        avail, _ = availability_rate([n_accepted], [n_rejected])
+    n_accepted = inputs.capacity - inputs.connected_ues
+    if t_drop > inputs.waiting_time_ms:
+        t_accept, t_reject, overloaded = inputs.waiting_time_ms, 0.0, False
+        n_rejected = n_rejected_approx = 0
     else:
-        avail = 0.0
+        t_accept, t_reject, overloaded = t_drop, inputs.waiting_time_ms - t_drop, True
+        reject_s = t_reject / 1000.0
+        n_rejected = _round_half_up(reject_s * (inputs.attack_rate_per_s
+                                                + inputs.benign_rate_per_s))
+        n_rejected_approx = _round_half_up(reject_s * inputs.attack_rate_per_s)
+    total = n_accepted + n_rejected
     return AnalyticOutputs(
         accepted=n_accepted,
         rejected=n_rejected,
@@ -145,6 +120,6 @@ def full_model(inputs: AnalyticInputs) -> AnalyticOutputs:
         drop_time_ms=t_drop,
         accept_duration_ms=t_accept,
         reject_duration_ms=t_reject,
-        availability_pct=avail,
+        availability_pct=100.0 * n_accepted / total if total else 0.0,
         overloaded=overloaded,
     )

@@ -157,6 +157,10 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         _require_int_ms(self)
+        for name, enum in (("kind", ScenarioKind), ("attacker_cause", EstablishmentCause)):
+            value = getattr(self, name)
+            if not isinstance(value, enum):
+                raise ScenarioError(f"{name} must be a member of {enum.__name__}, got {value!r}")
         if self.duration_ms <= 0:
             raise ScenarioError("duration_ms must be > 0")
         if self.preconnected_bue < 0:
@@ -242,37 +246,33 @@ class _Engine:
         heappush(self._heap, (t, self._seq, fn, args))
 
     def _periodic(self, n: int, start: int, period_ms: float,
-                  action: Callable[[], None]) -> None:
+                  action: Callable[[], Optional[bool]]) -> None:
         # Firing n of a train at start + round(n * period_ms), up to duration_ms. Each
         # time is taken from start, not from the last firing, so rounding never drifts.
         # The next firing runs here unless an entry is queued at or before its time:
         # pushed, it would get the highest seq, so every entry at its time goes first.
-        # An attacker firing into a full pool is rejected, and so is each later one run
-        # here, as nothing runs between them to free a context: such a run is drawn and
-        # emitted in one step, each ref redrawn while live as _fresh_ref does.
+        # An action returns False only when _ra_and_msg3 refused an attacker firing. Each
+        # later firing run here is refused too, as nothing runs between them to free a
+        # context: such a run is drawn and emitted in one step, refs redrawn as _fresh_ref does.
         heap, duration_ms, now = self._heap, self.scenario.duration_ms, self.now
-        contexts, capacity = self.contexts, self.gnb.capacity
-        attacker = action == self._attacker_cycle
         while True:
-            if attacker and len(contexts) >= capacity:
+            refused = action() is False
+            n += 1
+            now = start + _round_half_up(n * period_ms)
+            if refused:
                 end = min(duration_ms, heap[0][0]) if heap else duration_ms
-                getrandbits, times, refs = self.rng.getrandbits, [], []
-                while now < end or not times:
+                getrandbits, contexts, times, refs = self.rng.getrandbits, self.contexts, [], []
+                while now < end:
                     ue_ref = f"mue-{getrandbits(32):08x}"
                     if ue_ref not in contexts:
                         times.append(now)
                         refs.append(ue_ref)
                         n += 1
                         now = start + _round_half_up(n * period_ms)
-                self.now, cause = times[-1], self.scenario.attacker_cause
                 self.trace.extend(map(_new, repeat(RrcEvent), zip(
                     chain.from_iterable(zip(times, times, times, times)), cycle(_REJECT_RUN),
                     chain.from_iterable(zip(refs, refs, refs, refs)),
-                    cycle((None, None, cause, None)))))
-            else:
-                action()
-                n += 1
-                now = start + _round_half_up(n * period_ms)
+                    cycle((None, None, self.scenario.attacker_cause, None)))))
             if now >= duration_ms:
                 return
             if heap and heap[0][0] <= now:
@@ -331,9 +331,9 @@ class _Engine:
 
     # -- attacker ---------------------------------------------------------
 
-    def _attacker_cycle(self) -> None:
+    def _attacker_cycle(self) -> bool:
         # One RA loop then Msg3; Msg4 and T300 are ignored, no Msg5 ever.
-        self._ra_and_msg3(self._fresh_ref("mue"), self.scenario.attacker_cause)
+        return self._ra_and_msg3(self._fresh_ref("mue"), self.scenario.attacker_cause)
 
     # -- benign UEs -------------------------------------------------------
 

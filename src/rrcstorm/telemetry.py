@@ -5,7 +5,7 @@ are byte-stable and diffable. Parsing is strict: a value the writer cannot
 produce is refused with its line number, in whatever JSON spelling it comes
 (reordered keys, inner spaces and -0 read back). Whether an event may stand in
 a trace, and the words for why not, is events._event_refusal's rule; for a
-verdict, _verdict_refusal's, which write_verdicts applies too.
+verdict, _verdict_refusal's, which write_verdicts and verdict_line apply too.
 """
 from __future__ import annotations
 
@@ -235,7 +235,8 @@ def read_trace(source: Source) -> list[RrcEvent]:
 
 
 def verdict_line(verdict: DetectionVerdict) -> str:
-    return f'{{"t":{verdict.t_ms},{_verdict_tail(*verdict[1:])}'
+    """The line write_verdicts writes for verdict as the first record of a file."""
+    return next(_verdict_lines((verdict,)))
 
 
 def _verdict_tail(state, n_msg3, n_msg4, n_msg5, r1, r2) -> str:

@@ -8,12 +8,8 @@ from rrcstorm.analytic import (
     AnalyticInputs,
     WAITING_TIME_EFFECTIVE_MS,
     WAITING_TIME_NOMINAL_MS,
-    accept_reject_durations,
-    accepted_count,
     availability_rate,
-    drop_time,
     full_model,
-    rejected_count,
 )
 
 TABLE_RATE = 132.07
@@ -27,15 +23,15 @@ def table_inputs(connected, waiting_time_ms=WAITING_TIME_EFFECTIVE_MS):
 class TestDropTime:
     def test_empty_gnb(self):
         # 16 / 132.07 per s = 0.121 s
-        assert drop_time(table_inputs(0)) == pytest.approx(121, abs=0.5)
+        assert full_model(table_inputs(0)).drop_time_ms == pytest.approx(121, abs=0.5)
 
     def test_quarter_occupied(self):
-        assert drop_time(table_inputs(4)) == pytest.approx(91, abs=0.5)
+        assert full_model(table_inputs(4)).drop_time_ms == pytest.approx(91, abs=0.5)
 
     def test_zero_free_capacity(self):
         inputs = AnalyticInputs(waiting_time_ms=2700, capacity=16,
                                 attack_rate_per_s=100, connected_ues=16)
-        assert drop_time(inputs) == 0.0
+        assert full_model(inputs).drop_time_ms == 0.0
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -51,49 +47,55 @@ class TestDropTime:
 
 class TestAcceptRejectDurations:
     def test_quarter_occupied_effective_wait(self):
-        t_accept, t_reject, overloaded = accept_reject_durations(table_inputs(4))
-        assert overloaded
-        assert t_accept == pytest.approx(91, abs=0.5)
-        assert t_reject == pytest.approx(2666, abs=0.5)
+        out = full_model(table_inputs(4))
+        assert out.overloaded
+        assert out.accept_duration_ms == pytest.approx(91, abs=0.5)
+        assert out.reject_duration_ms == pytest.approx(2666, abs=0.5)
 
     def test_nominal_wait_direct_substitution(self):
         # oracle: reject duration = waiting time - free/rate
         expected_drop = 16 / TABLE_RATE * 1000.0
-        t_accept, t_reject, overloaded = accept_reject_durations(
-            table_inputs(0, waiting_time_ms=WAITING_TIME_NOMINAL_MS))
-        assert overloaded
-        assert t_accept == pytest.approx(expected_drop)
-        assert t_reject == pytest.approx(WAITING_TIME_NOMINAL_MS - expected_drop)
-        assert t_accept == pytest.approx(121, abs=0.5)
-        assert t_reject == pytest.approx(2579, abs=0.5)
+        out = full_model(table_inputs(0, waiting_time_ms=WAITING_TIME_NOMINAL_MS))
+        assert out.overloaded
+        assert out.accept_duration_ms == pytest.approx(expected_drop)
+        assert out.reject_duration_ms == pytest.approx(WAITING_TIME_NOMINAL_MS - expected_drop)
+        assert out.accept_duration_ms == pytest.approx(121, abs=0.5)
+        assert out.reject_duration_ms == pytest.approx(2579, abs=0.5)
 
     def test_slow_flood_never_overloads(self):
         inputs = AnalyticInputs(waiting_time_ms=1000, capacity=16, attack_rate_per_s=1)
-        t_accept, t_reject, overloaded = accept_reject_durations(inputs)
-        assert not overloaded
-        assert t_reject == 0.0
-        assert t_accept == 1000.0
+        out = full_model(inputs)
+        assert not out.overloaded
+        assert out.reject_duration_ms == 0.0
+        assert out.accept_duration_ms == 1000.0
+
+    def test_pool_filling_exactly_at_the_waiting_time_overloads(self):
+        # 27 contexts at 10/s fill in 2700 ms: the boundary of drop time <= waiting time
+        inputs = AnalyticInputs(waiting_time_ms=2700, capacity=27, attack_rate_per_s=10)
+        out = full_model(inputs)
+        assert out.drop_time_ms == 2700.0
+        assert out.overloaded
+        assert out.reject_duration_ms == 0
 
 
 class TestAcceptedCount:
     @pytest.mark.parametrize("connected,expected", [(4, 12), (0, 16), (16, 0)])
     def test_table_rows(self, connected, expected):
-        assert accepted_count(table_inputs(connected)) == expected
+        assert full_model(table_inputs(connected)).accepted == expected
 
 
 class TestRejectedCount:
     def test_quarter_occupied(self):
-        exact, approx = rejected_count(table_inputs(4))
-        assert exact == 352
-        assert approx == 352
+        out = full_model(table_inputs(4))
+        assert out.rejected == 352
+        assert out.rejected_approx == 352
 
     def test_half_occupied(self):
-        exact, approx = rejected_count(table_inputs(8))
-        assert exact == 356
+        assert full_model(table_inputs(8)).rejected == 356
 
     def test_no_overload_gives_zero(self):
-        inputs = AnalyticInputs(waiting_time_ms=1000, capacity=16, attack_rate_per_s=1)
-        assert rejected_count(inputs) == (0, 0)
+        out = full_model(AnalyticInputs(waiting_time_ms=1000, capacity=16, attack_rate_per_s=1))
+        assert (out.rejected, out.rejected_approx) == (0, 0)
 
 
 class TestAvailabilityRate:
@@ -164,11 +166,11 @@ class TestProperties:
                 inputs.waiting_time_ms, inputs.capacity,
                 inputs.attack_rate_per_s * rng.uniform(1.1, 3.0),
                 inputs.benign_rate_per_s, inputs.connected_ues)
-            assert drop_time(faster) < drop_time(inputs)
+            assert full_model(faster).drop_time_ms < full_model(inputs).drop_time_ms
             busier = AnalyticInputs(
                 inputs.waiting_time_ms, inputs.capacity, inputs.attack_rate_per_s,
                 inputs.benign_rate_per_s, inputs.connected_ues + 1)
-            assert drop_time(busier) < drop_time(inputs)
+            assert full_model(busier).drop_time_ms < full_model(inputs).drop_time_ms
 
     def test_availability_non_increasing_in_connected_ues(self):
         prev = None
@@ -182,39 +184,24 @@ class TestProperties:
         rng = random.Random(2)
         for _ in range(300):
             inputs = random_inputs(rng)
-            t_accept, t_reject, overloaded = accept_reject_durations(inputs)
-            if overloaded:
-                assert t_accept == pytest.approx(drop_time(inputs))
-                assert t_accept + t_reject == pytest.approx(inputs.waiting_time_ms)
-
-    def test_full_model_matches_composed_operations(self):
-        rng = random.Random(3)
-        for _ in range(300):
-            inputs = random_inputs(rng)
             out = full_model(inputs)
-            t_accept, t_reject, overloaded = accept_reject_durations(inputs)
-            exact, approx = rejected_count(inputs)
-            assert out.overloaded == overloaded
-            assert out.accepted == accepted_count(inputs)
-            assert out.rejected == exact
-            assert out.rejected_approx == approx
-            assert out.drop_time_ms == pytest.approx(drop_time(inputs))
-            assert out.accept_duration_ms == pytest.approx(t_accept)
-            assert out.reject_duration_ms == pytest.approx(t_reject)
+            if out.overloaded:
+                assert out.accept_duration_ms == pytest.approx(out.drop_time_ms)
+                assert (out.accept_duration_ms + out.reject_duration_ms
+                        == pytest.approx(inputs.waiting_time_ms))
 
     def test_approximation_gap_is_reject_duration_times_benign_rate(self):
         rng = random.Random(4)
         for _ in range(300):
             inputs = random_inputs(rng)
-            _, t_reject, overloaded = accept_reject_durations(inputs)
-            if not overloaded:
+            out = full_model(inputs)
+            if not out.overloaded:
                 continue
-            exact, approx = rejected_count(inputs)
-            gap = t_reject / 1000.0 * inputs.benign_rate_per_s
+            gap = out.reject_duration_ms / 1000.0 * inputs.benign_rate_per_s
             # both counts are independently rounded half-up
-            assert abs((exact - approx) - gap) <= 1.0
+            assert abs((out.rejected - out.rejected_approx) - gap) <= 1.0
             if inputs.benign_rate_per_s == 0:
-                assert exact == approx
+                assert out.rejected == out.rejected_approx
 
 
 def test_round_half_up_boundary():

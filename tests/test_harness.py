@@ -446,6 +446,10 @@ GOOD_SCENARIO = {"kind": "attack", "duration_ms": 2000, "attacker_rate_per_s": 1
      "gnb: waiting_time_ms must be an integer, got True"),
     ({"scenario": {**GOOD_SCENARIO, "background": {"tick_ms": 100.0}}},
      "scenario.background: tick_ms must be an integer, got 100.0"),
+    ({"scenario": {**GOOD_SCENARIO, "kind": None}},
+     "scenario: kind must be a member of ScenarioKind, got None"),
+    ({"scenario": {**GOOD_SCENARIO, "attacker_cause": None}},
+     "scenario: attacker_cause must be a member of EstablishmentCause, got None"),
 ])
 def test_bad_config_file_is_a_located_error(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"

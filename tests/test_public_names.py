@@ -13,11 +13,10 @@ PUBLIC_NAMES = [
     "ScenarioError", "ScenarioKind", "ScenarioSpec", "SimResult", "StreamOrderError",
     "StreamViolation", "TRACE_SUFFIX", "TraceParseError", "TruncatedPoissonSpec",
     "VERDICT_SUFFIX", "WAITING_TIME_EFFECTIVE_MS", "WAITING_TIME_NOMINAL_MS",
-    "accept_reject_durations", "accepted_count", "analytic", "availability_rate", "classify",
-    "detection_latency", "detector", "drop_time", "events", "full_model", "iter_trace",
-    "iter_verdicts", "read_trace", "read_verdicts", "rejected_count", "run", "run_stream",
-    "simnet", "summarize_trace", "telemetry", "truncated_poisson_sample", "validate_stream",
-    "write_trace", "write_verdicts",
+    "analytic", "availability_rate", "classify", "detection_latency", "detector", "drop_time",
+    "events", "full_model", "iter_trace", "iter_verdicts", "read_trace", "read_verdicts", "run",
+    "run_stream", "simnet", "summarize_trace", "telemetry", "truncated_poisson_sample",
+    "validate_stream", "write_trace", "write_verdicts",
 ]
 
 
@@ -28,4 +27,4 @@ def test_public_names_of_a_fresh_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=60, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 42

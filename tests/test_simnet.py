@@ -64,6 +64,17 @@ class TestAttackRun:
         assert result.accepted_msg3 == 2
         assert result.drop_time_ms == 20
 
+    def test_msg3s_before_a_slow_msg4_are_admitted(self):
+        # One Msg3 every 10 ms, each Msg4 25 ms after its Msg3: t=10 and t=20 run
+        # before the first Msg4 and take the two contexts left; t=30 is the first
+        # rejection, and the pool stays full to the end.
+        gnb = GnbConfig(capacity=3, waiting_time_ms=1000,
+                        msg3_to_msg4_delay_ms=25, max_msg1_per_frame=1000)
+        result = run(attack(duration_ms=100, rate=100.0), gnb)
+        rejects = [e.t for e in result.trace if e.kind is MsgKind.MSG3_REJECTED]
+        assert rejects == list(range(30, 100, 10))
+        assert result.accepted_msg3 == 3
+
     def test_readmission_after_expiry_hand_trace(self):
         # One context, held 30 ms: the Msg3 at t=0 takes it, 10 and 20 are rejected,
         # the expiry queued at t=0 frees it at 30 before that ms's Msg3, which takes it
@@ -306,6 +317,11 @@ class TestValidation:
     def test_attack_needs_rate(self):
         with pytest.raises(ScenarioError):
             ScenarioSpec(kind=ScenarioKind.ATTACK, duration_ms=100, seed=1)
+
+    def test_kind_must_be_a_member(self):
+        message = "kind must be a member of ScenarioKind, got 'attack'"
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioSpec(kind="attack", duration_ms=1000, attacker_rate_per_s=50)
 
     def test_normal_needs_background(self):
         with pytest.raises(ScenarioError):

@@ -221,6 +221,9 @@ class TestVerdicts:
         with pytest.raises(ValueError) as write:
             write_verdicts(verdicts, io.StringIO())
         assert str(write.value) == f"verdict 3: {read.value.reason}"
+        with pytest.raises(ValueError) as line:
+            verdict_line(verdicts[3])
+        assert str(line.value) == f"verdict 0: {read.value.reason}"
         with pytest.raises(ValueError, match="^verdict 3: "):
             write_verdicts(iter(verdicts), tmp_path / "v.verdicts.jsonl")
         assert list(tmp_path.iterdir()) == []
