@@ -42,8 +42,9 @@ class AnalyticInputs:
     connected_ues: int = 0
 
     def __post_init__(self) -> None:
-        if self.waiting_time_ms <= 0:
-            raise ValueError("waiting_time_ms must be > 0")
+        wait = self.waiting_time_ms
+        if not 0 < wait < math.inf:
+            raise ValueError(f"waiting_time_ms must be finite and > 0, got {wait}")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not 0 <= self.connected_ues <= self.capacity:

@@ -10,7 +10,9 @@ import csv
 import dataclasses
 import statistics
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic, presets, telemetry
@@ -46,12 +48,13 @@ def _seeded_runs(scenario: ScenarioSpec, seeds: Iterable[int], gnb: GnbConfig,
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Header plus rows; None is written as an empty cell."""
+    """Header plus rows in csv.writer's default dialect, CRLF ends and all, through
+    telemetry's .part file and rename; None is written as an empty cell."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    # writerow returns what write returns, here the row's text; _write_lines puts
+    # back the LF cut from its CRLF.
+    row_text = csv.writer(SimpleNamespace(write=str)).writerow
+    telemetry._write_lines((row_text(row)[:-1] for row in chain([header], rows)), path)
 
 
 @dataclass(frozen=True)

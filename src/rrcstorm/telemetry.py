@@ -100,22 +100,36 @@ def _trace_lines(events: Iterable[RrcEvent]) -> Iterator[str]:
     """One JSON line per event, each the bytes json.dumps(separators=(",", ":")) gives;
     ValueError, naming the event's index, for an event read_trace would refuse."""
     text, encode = _TEXT, encode_basestring_ascii   # ensure_ascii encodes ue alone
-    prev_t = 0   # a first t below 0 is refused as negative, like any regression
+    # The last event's t and ue and the text each gave: a t or ue equal to it is
+    # neither checked nor formatted again. Equal is enough for an exact int or str,
+    # as each prints one way; True == 1 and a str subclass are refused, as ever. No
+    # t or ue equals None, and a first t below 0 is refused as negative.
+    prev_t, last_t, last_ue, t_text, ue_text = 0, None, None, "", ""
     for i, (t, kind, ue, cause) in enumerate(events):
-        if (type(t) is not int or t < prev_t or type(kind) is not MsgKind
-                or type(ue) is not str or not ue or (not ue.isascii() and _PAIR.search(ue))
-                or (kind is _MSG3) is (cause is None)
+        if (type(kind) is not MsgKind or (kind is _MSG3) is (cause is None)
                 or (cause is not None and type(cause) is not EstablishmentCause)):
-            reason = (_event_refusal(t, kind, ue, cause, prev_t)
-                      or f"'ue' {ue!r} holds a surrogate pair, which reads back as one character")
-            raise ValueError(f"event {i}: {reason}")
-        prev_t = t
-        try:
-            line = (f'{{"t":{t},"kind":"{text[kind]}","ue":{encode(ue)}}}' if cause is None
-                    else f'{{"t":{t},"kind":"msg3","ue":{encode(ue)},"cause":"{text[cause]}"}}')
-        except ValueError as exc:   # a t of more digits than int() may print
-            raise ValueError(f"event {i}: {exc}") from None
-        yield line
+            raise _refused(i, t, kind, ue, cause, prev_t)
+        if type(ue) is not str or ue != last_ue:
+            if type(ue) is not str or not ue or (not ue.isascii() and _PAIR.search(ue)):
+                raise _refused(i, t, kind, ue, cause, prev_t)
+            ue_text, last_ue = encode(ue), ue
+        if type(t) is not int or t != last_t:
+            if type(t) is not int or t < prev_t:
+                raise _refused(i, t, kind, ue, cause, prev_t)
+            try:   # last, so that any refusal comes before this error
+                t_text = f"{t}"
+            except ValueError as exc:   # a t of more digits than int() may print
+                raise ValueError(f"event {i}: {exc}") from None
+            prev_t = last_t = t
+        yield (f'{{"t":{t_text},"kind":"{text[kind]}","ue":{ue_text}}}' if cause is None else
+               f'{{"t":{t_text},"kind":"msg3","ue":{ue_text},"cause":"{text[cause]}"}}')
+
+
+def _refused(i: int, t, kind, ue, cause, prev_t: int) -> ValueError:
+    """The error for event i, refused after one at prev_t, in the rule's words."""
+    reason = (_event_refusal(t, kind, ue, cause, prev_t)
+              or f"'ue' {ue!r} holds a surrogate pair, which reads back as one character")
+    return ValueError(f"event {i}: {reason}")
 
 
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:

@@ -38,11 +38,17 @@ class TestDropTime:
             AnalyticInputs(waiting_time_ms=2700, capacity=16, attack_rate_per_s=0)
 
     @pytest.mark.parametrize("field", ["attack_rate_per_s", "benign_rate_per_s"])
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, field, rate):
         inputs = {"waiting_time_ms": 2700, "capacity": 16, "attack_rate_per_s": 100}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AnalyticInputs(**{**inputs, field: rate})
+
+    @pytest.mark.parametrize("wait", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waiting_time_rejected(self, wait):
+        with pytest.raises(ValueError) as excinfo:
+            AnalyticInputs(waiting_time_ms=wait, capacity=16, attack_rate_per_s=100)
+        assert str(excinfo.value) == f"waiting_time_ms must be finite and > 0, got {wait}"
 
 
 class TestAcceptRejectDurations:

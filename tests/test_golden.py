@@ -6,6 +6,7 @@ deliberate and regenerate them.
 """
 import dataclasses
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,14 @@ def test_trace_bytes_stable(tmp_path):
     path = tmp_path / "regen.rrctrace.jsonl"
     write_trace(result.trace, path)
     assert path.read_bytes() == (DATA / "golden-attack.rrctrace.jsonl").read_bytes()
+
+
+def test_read_back_trace_writes_the_golden_bytes():
+    # Read back, a t or ue equal to the last event's is a distinct object.
+    golden = DATA / "golden-attack.rrctrace.jsonl"
+    buf = io.StringIO()
+    write_trace(read_trace(golden), buf)
+    assert buf.getvalue().encode() == golden.read_bytes()
 
 
 def test_verdict_bytes_stable(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -22,6 +24,7 @@ from rrcstorm.cli import FLAG_FIELDS, ConfigError, load_config_file, main
 from rrcstorm.harness import (
     ExperimentConfig,
     RunArtifacts,
+    _write_csv,
     cmd_replay,
     cmd_run,
     cmd_table1,
@@ -35,6 +38,7 @@ from rrcstorm.presets import (
     highload_scenario,
     normal_scenario,
 )
+from rrcstorm.telemetry import _CHUNK_LINES
 
 from helpers import child_env
 
@@ -378,6 +382,22 @@ class TestCsvBytes:
             "seed,onset_ms,drop_time_ms,latency_ms,margin_ms,attack_verdicts,highload_verdicts",
             "1,100,,,,0,0",
         ])
+
+    def test_bytes_are_csv_writers(self, tmp_path):
+        header, rows = ["h1", "h2", "h3"], [[1, None, 'a,"b"'], ["line\nbreak", "cr\r\nlf", 2.5]]
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([header, *rows])
+        _write_csv(tmp_path / "out.csv", header, iter(rows))
+        assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_rows_that_fail_part_way_leave_no_file(self, tmp_path):
+        def rows():
+            yield from ([i, "x"] for i in range(2 * _CHUNK_LINES + 3))
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            _write_csv(tmp_path / "out.csv", ["seed", "x"], rows())
+        assert list(tmp_path.iterdir()) == []
 
 
 # A valid value for every flag of the override table, each unlike its default.

@@ -400,7 +400,10 @@ MO_DATA = EstablishmentCause.MO_DATA
     [RrcEvent(0, MsgKind.MSG1, "u"), RrcEvent(0, MsgKind.MSG3, "u")],
     [RrcEvent(0, MsgKind.MSG3, "u", MO_DATA), RrcEvent(0, MsgKind.MSG1, "u", MO_DATA)],
     [RrcEvent(5, MsgKind.MSG1, "u"), RrcEvent(5, MsgKind.MSG2, "u"), RrcEvent(3, MsgKind.MSG4, "u")],
-], ids=["bool-t", "negative-t", "empty-ue", "msg3-without-cause", "cause-on-msg1", "regression"])
+    [RrcEvent(1, MsgKind.MSG1, "u"), RrcEvent(True, MsgKind.MSG2, "u")],
+    [RrcEvent(0, MsgKind.MSG1, "u"), RrcEvent(False, MsgKind.MSG2, "u")],
+], ids=["bool-t", "negative-t", "empty-ue", "msg3-without-cause", "cause-on-msg1", "regression",
+        "true-after-1", "false-after-0"])
 def test_writer_refuses_what_the_reader_refuses(tmp_path, events):
     index, reason = first_refusal(events)
     with pytest.raises(ValueError) as excinfo:
@@ -462,6 +465,67 @@ def test_write_trace_raises_or_round_trips(events):
             write_trace(events[:index + 1], io.StringIO())
     else:
         assert read_trace(io.StringIO(buf.getvalue())) == events
+
+
+class StrLike(str):
+    """A ue equal to a str, which the rule refuses for its type."""
+
+
+# No surrogates, so that no ue holds a pair, which first_refusal's reader would take.
+pair_free_ue = st.text(st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                                 st.sampled_from('"\\/\x00\n\r\x1f\x7fé '),
+                                 st.characters(exclude_categories=["Cs"])), min_size=1)
+
+
+@st.composite
+def repeating_events(draw):
+    """Event lists in which most events take the previous event's t, ue or both, as
+    the same object, as an equal but distinct one, or now and then as a look-alike
+    the rule refuses though it compares equal: True for 1, False for 0, a float, a
+    StrLike. The first t is often 0 or -1, which no cached value may match."""
+    t, ue, events = draw(st.sampled_from([0, -1, 1, 255, 2**40])), draw(pair_free_ue), []
+    for _ in range(draw(st.integers(1, 8))):
+        if events and draw(st.booleans()):
+            t += draw(st.integers(-1, 300))
+        if events and draw(st.booleans()):
+            ue = draw(pair_free_ue)
+        kind, cause = draw(kind_and_cause)
+        how_t, how_ue = draw(st.integers(0, 11)), draw(st.integers(0, 11))
+        events.append(RrcEvent(
+            # int(str(t)) is a distinct object for t outside -5..256
+            t if how_t < 6 else int(str(t)) if how_t < 11
+            else t == 1 if t in (0, 1) else float(t),
+            kind,
+            ue if how_ue < 6 else "".join(list(ue)) if how_ue < 11 else StrLike(ue),
+            cause))
+    return events
+
+
+@settings(deadline=None, max_examples=300)
+@given(repeating_events())
+def test_write_trace_of_repeated_values_raises_or_round_trips(events):
+    # json.dumps writes a StrLike as a plain string, which read_trace takes, so the
+    # rule's refusal is added after any refusal first_refusal finds up to it.
+    expected = first_refusal(events)
+    sub = next((i for i, e in enumerate(events) if type(e.ue_ref) is not str), None)
+    if sub is not None:
+        expected = first_refusal(events[:sub + 1]) or (sub, "'ue' must be a non-empty string")
+    buf = io.StringIO()
+    if expected is None:
+        assert write_trace(events, buf) == len(events)
+        assert buf.getvalue() == "".join(json_trace_line(e) + "\n" for e in events)
+        assert read_trace(io.StringIO(buf.getvalue())) == events
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            write_trace(events, buf)
+        assert str(excinfo.value) == "event {}: {}".format(*expected)
+
+
+def test_writer_refuses_a_str_subclass_equal_to_the_previous_ue():
+    events = [RrcEvent(1, MsgKind.MSG1, "u"), RrcEvent(1, MsgKind.MSG2, StrLike("u"))]
+    with pytest.raises(ValueError) as excinfo:
+        write_trace(events, io.StringIO())
+    assert str(excinfo.value) == "event 1: 'ue' must be a non-empty string"
 
 
 def _mutate(line, how, rng):
