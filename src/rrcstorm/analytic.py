@@ -45,10 +45,14 @@ class AnalyticInputs:
         wait = self.waiting_time_ms
         if not 0 < wait < math.inf:
             raise ValueError(f"waiting_time_ms must be finite and > 0, got {wait}")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not 0 <= self.connected_ues <= self.capacity:
-            raise ValueError("connected_ues must be in [0, capacity]")
+        capacity, connected = self.capacity, self.connected_ues
+        for name, value in (("capacity", capacity), ("connected_ues", connected)):
+            if type(value) is not int:   # a bool or a float would be counted as contexts
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if not 0 <= connected <= capacity:
+            raise ValueError(f"connected_ues must be in [0, {capacity}], got {connected}")
         attack, benign = self.attack_rate_per_s, self.benign_rate_per_s
         if not 0 < attack < math.inf:
             raise ValueError(f"attack_rate_per_s must be finite and > 0, got {attack}")

@@ -114,8 +114,8 @@ def _resolve(args: argparse.Namespace, seed: int,
         scenario = dataclasses.replace(scenario, seed=seed)
     scenario, gnb, detector = _override(args, scenario=scenario, gnb=gnb, detector=detector)
     if args.occupancy_pct is not None:
-        scenario = dataclasses.replace(
-            scenario, preconnected_bue=round(gnb.capacity * args.occupancy_pct / 100))
+        held = presets.occupied_contexts(gnb.capacity, args.occupancy_pct)
+        scenario = dataclasses.replace(scenario, preconnected_bue=held)
     return scenario, gnb, detector
 
 

@@ -81,7 +81,7 @@ def table1_theoretical_row(occupancy_pct: int,
         waiting_time_ms=waiting_time_ms,
         capacity=capacity,
         attack_rate_per_s=rate_per_s,
-        connected_ues=round(capacity * occupancy_pct / 100),
+        connected_ues=presets.occupied_contexts(capacity, occupancy_pct),
     )
     out = analytic.full_model(inputs)
     return TableOneRow(
@@ -106,7 +106,7 @@ def table1_scenario(occupancy_pct: int, seed: int,
         kind=ScenarioKind.ATTACK,
         duration_ms=waiting_time_ms + 100,
         seed=seed,
-        preconnected_bue=round(capacity * occupancy_pct / 100),
+        preconnected_bue=presets.occupied_contexts(capacity, occupancy_pct),
         attacker_rate_per_s=rate_per_s,
     )
 

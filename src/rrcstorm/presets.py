@@ -57,18 +57,23 @@ def default_background() -> TruncatedPoissonSpec:
     return TruncatedPoissonSpec(lam=2.0, k_max=3, tick_ms=100)
 
 
+def occupied_contexts(capacity: int, occupancy_pct: int) -> int:
+    """The contexts held at occupancy_pct of capacity, rounded half to even."""
+    if not 0 <= occupancy_pct <= 100:
+        raise ValueError(f"occupancy_pct must be in [0, 100], got {occupancy_pct}")
+    return round(capacity * occupancy_pct / 100)
+
+
 def attack_scenario(occupancy_pct: int, seed: int,
                     capacity: int = GNB_CAPACITY,
                     rate_per_s: float = ATTACK_RATE_PER_S,
                     duration_ms: int = 4000) -> ScenarioSpec:
     """Storm against a gNB with occupancy_pct of its contexts already held."""
-    if not 0 <= occupancy_pct <= 100:
-        raise ValueError("occupancy_pct must be in [0, 100]")
     return ScenarioSpec(
         kind=ScenarioKind.ATTACK,
         duration_ms=duration_ms,
         seed=seed,
-        preconnected_bue=round(capacity * occupancy_pct / 100),
+        preconnected_bue=occupied_contexts(capacity, occupancy_pct),
         attacker_rate_per_s=rate_per_s,
         onset_ms=ONSET_MS,
         onset_jitter_ms=ONSET_JITTER_MS,

@@ -207,29 +207,23 @@ class SimResult:
     availability_first_period_pct: Optional[float]
 
 
-@dataclass
-class _BenignUe:
-    ue_ref: str
-    retries_left: int
-    got_msg4: bool = False
-
-
 class _Engine:
     """Event loop: heap keyed by (t, seq); ties resolve in insertion order.
 
-    contexts is the gNB's bounded pool: each ue_ref holding a context maps to the
-    generation of its pending context (1, 2, ... in admission order), or to 0 once
-    the context is connected. Preconnected UEs are connected at t=0 and emit nothing.
+    contexts is the gNB's bounded pool: the set of ue_refs that hold a context,
+    pending or connected. Preconnected UEs hold theirs from t=0 and emit nothing.
     """
 
     def __init__(self, scenario: ScenarioSpec, gnb: GnbConfig):
         if scenario.preconnected_bue > gnb.capacity:
             raise ScenarioError("preconnected_bue exceeds gNB capacity")
+        if scenario.t300_ms < gnb.msg3_to_msg4_delay_ms:
+            raise ScenarioError(f"t300_ms ({scenario.t300_ms}) must be >= "
+                                f"msg3_to_msg4_delay_ms ({gnb.msg3_to_msg4_delay_ms})")
         self.scenario = scenario
         self.gnb = gnb
         self.rng = random.Random(scenario.seed)
-        self.contexts: dict[str, int] = {}
-        self._generation = 0
+        self.contexts: set[str] = set()
         self.trace: list[RrcEvent] = []
         self.now = 0
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
@@ -285,7 +279,7 @@ class _Engine:
         self.trace.append(_new(RrcEvent, (self.now, kind, ue_ref, None)))
 
     def _fresh_ref(self, prefix: str) -> str:
-        # Redraw on a live ref: _ra_and_msg3 would reject it although the pool has room.
+        # Redraw on a live ref: a Msg3 may only carry a ref that holds no context.
         while True:
             ue_ref = f"{prefix}-{self.rng.getrandbits(32):08x}"
             if ue_ref not in self.contexts:
@@ -294,40 +288,41 @@ class _Engine:
     # -- gNB --------------------------------------------------------------
 
     def _ra_and_msg3(self, ue_ref: str, cause: EstablishmentCause,
-                     ue: Optional[_BenignUe] = None) -> bool:
+                     benign: bool = False) -> bool:
         """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and (where it can
-        fire) its expiry scheduled.
+        fire) its expiry scheduled. benign: a benign UE, which answers the Msg4, sent it.
 
-        ue: the benign UE behind ue_ref, which answers the Msg4; None for the attacker.
+        ue_ref holds no context (_fresh_ref, _periodic, _benign_t300 see to it), so
+        only a full pool refuses it.
         """
         now, gnb, trace, contexts = self.now, self.gnb, self.trace, self.contexts
         trace.extend((_new(RrcEvent, (now, _MSG1, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG2, ue_ref, None)),
                       _new(RrcEvent, (now, _MSG3, ue_ref, cause))))
-        if len(contexts) >= gnb.capacity or ue_ref in contexts:
+        if len(contexts) >= gnb.capacity:
             trace.append(_new(RrcEvent, (now, _MSG3_REJECTED, ue_ref, None)))
             return False
-        self._generation += 1
-        contexts[ue_ref] = self._generation
+        contexts.add(ue_ref)
         assert len(contexts) <= gnb.capacity
         self._seq += 1
         heappush(self._heap, (now + gnb.msg3_to_msg4_delay_ms, self._seq, self._gnb_msg4,
-                              (ue_ref, ue)))
-        if ue is None or self._benign_expiry:
-            self.schedule(now + gnb.waiting_time_ms, self._gnb_expire, ue_ref, self._generation)
+                              (ue_ref, benign)))
+        # The expiry is queued only where the context is sure to be pending when it
+        # fires: nothing else frees an attacker's, and a benign Msg5 never comes first.
+        if not benign or self._benign_expiry:
+            self.schedule(now + gnb.waiting_time_ms, self._release, ue_ref)
         return True
 
-    def _gnb_msg4(self, ue_ref: str, ue: Optional[_BenignUe]) -> None:
+    def _gnb_msg4(self, ue_ref: str, benign: bool) -> None:
         self.emit(_MSG4, ue_ref)
-        if ue is not None:
-            ue.got_msg4 = True
-            self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
+        if benign:
+            self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5,
+                          ue_ref)
 
-    def _gnb_expire(self, ue_ref: str, generation: int) -> None:
-        # Only the context this expiry was queued for, while it is still pending.
-        if self.contexts.get(ue_ref) == generation:
-            del self.contexts[ue_ref]
-            self.emit(_CONTEXT_RELEASED, ue_ref)
+    def _release(self, ue_ref: str) -> None:
+        # A context's expiry or its UE's leave: whichever is queued for it frees it.
+        self.contexts.remove(ue_ref)
+        self.emit(_CONTEXT_RELEASED, ue_ref)
 
     # -- attacker ---------------------------------------------------------
 
@@ -337,37 +332,28 @@ class _Engine:
 
     # -- benign UEs -------------------------------------------------------
 
-    def _benign_attempt(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        # After an accept, T300 can only fire before the Msg4: at the same ms the Msg4,
-        # queued first, sets got_msg4 and the timer would do nothing. With no retry
-        # left it would do nothing either.
-        if ((not self._ra_and_msg3(ue.ue_ref, cause, ue)
-                or self.scenario.t300_ms < self.gnb.msg3_to_msg4_delay_ms) and ue.retries_left):
-            self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
+    def _benign_attempt(self, ue_ref: str, retries_left: int) -> None:
+        # T300 is no shorter than the Msg4 delay (__init__), so after an accept the
+        # Msg4 stops it first: it runs only after a reject, and only to a retry.
+        if not self._ra_and_msg3(ue_ref, _MO_DATA, True) and retries_left:
+            self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue_ref,
+                          retries_left)
 
-    def _benign_msg5(self, ue: _BenignUe) -> None:
-        self.emit(_MSG5, ue.ue_ref)
-        # Connect a pending context; a stale Msg5 changes nothing.
-        if self.contexts.get(ue.ue_ref):
-            self.contexts[ue.ue_ref] = 0
-            if self.scenario.benign_hold_ms is not None:
-                self.schedule(self.now + self.scenario.benign_hold_ms, self._benign_leave, ue)
+    def _benign_msg5(self, ue_ref: str) -> None:
+        self.emit(_MSG5, ue_ref)
+        # With a benign expiry the context is already released and the Msg5 is stale;
+        # otherwise it connects the context, which only the UE's leave frees.
+        if not self._benign_expiry and self.scenario.benign_hold_ms is not None:
+            self.schedule(self.now + self.scenario.benign_hold_ms, self._release, ue_ref)
 
-    def _benign_leave(self, ue: _BenignUe) -> None:
-        # Only a connect queues this, and only this removes a connected context.
-        del self.contexts[ue.ue_ref]
-        self.emit(_CONTEXT_RELEASED, ue.ue_ref)
-
-    def _benign_t300(self, ue: _BenignUe, cause: EstablishmentCause) -> None:
-        # Queued only while a retry is left (_benign_attempt).
-        if ue.got_msg4:
-            return
-        ue.retries_left -= 1
-        self._benign_attempt(ue, cause)
+    def _benign_t300(self, ue_ref: str, retries_left: int) -> None:
+        # The rejected ref holds no context unless another UE has drawn it since.
+        if ue_ref in self.contexts:
+            ue_ref = self._fresh_ref("bue")
+        self._benign_attempt(ue_ref, retries_left - 1)
 
     def _spawn_benign(self) -> None:
-        ue = _BenignUe(self._fresh_ref("bue"), self.scenario.max_retries)
-        self._benign_attempt(ue, _MO_DATA)
+        self._benign_attempt(self._fresh_ref("bue"), self.scenario.max_retries)
 
     def _background_tick(self) -> None:
         for _ in range(truncated_poisson_sample(self.scenario.background, self.rng)):
@@ -376,7 +362,7 @@ class _Engine:
     # -- run --------------------------------------------------------------
 
     def run(self) -> SimResult:
-        self.contexts.update((f"pre-{i}", 0) for i in range(self.scenario.preconnected_bue))
+        self.contexts.update(f"pre-{i}" for i in range(self.scenario.preconnected_bue))
 
         onset = self.scenario.onset_ms
         if self.scenario.onset_jitter_ms:

@@ -197,7 +197,14 @@ class ReferenceEngine(simnet._Engine):
     at a time, even into a full pool; an accepted Msg3 queues its expiry, even where
     the Msg5 always comes first; a benign UE's reaction to Msg4 is an entry of its
     own after the gNB's; and T300 is queued after every attempt, even where Msg4
-    always comes first or no retry is left; such a timer does nothing."""
+    always comes first or no retry is left. Such a timer does nothing: the reference
+    keeps its own record of pending contexts by generation, and a flag per attempt
+    that its Msg4 came, and each timer checks them."""
+
+    def __init__(self, scenario, gnb):
+        super().__init__(scenario, gnb)
+        self.pending = {}   # ue_ref -> generation of its pending context
+        self.generation = 0
 
     def _periodic(self, n, start, period_ms, action):
         action()
@@ -205,32 +212,46 @@ class ReferenceEngine(simnet._Engine):
         if t_next < self.scenario.duration_ms:
             self.schedule(t_next, self._periodic, n + 1, start, period_ms, action)
 
-    def _ra_and_msg3(self, ue_ref, cause, ue=None):
+    def _ra_and_msg3(self, ue_ref, cause, benign=False):
+        assert ue_ref not in self.contexts, f"Msg3 on the live ref {ue_ref}"
         for kind in (MsgKind.MSG1, MsgKind.MSG2):
             self.emit(kind, ue_ref)
         self.trace.append(RrcEvent(self.now, MsgKind.MSG3, ue_ref, cause))
-        if len(self.contexts) >= self.gnb.capacity or ue_ref in self.contexts:
+        if len(self.contexts) >= self.gnb.capacity:
             self.emit(MsgKind.MSG3_REJECTED, ue_ref)
             return False
-        self._generation += 1
-        self.contexts[ue_ref] = self._generation
-        self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._gnb_msg4, ue_ref, ue)
-        self.schedule(self.now + self.gnb.waiting_time_ms, self._gnb_expire, ue_ref,
-                      self._generation)
+        self.contexts.add(ue_ref)
+        self.generation += 1
+        self.pending[ue_ref] = self.generation
+        self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._gnb_msg4, ue_ref, False)
+        self.schedule(self.now + self.gnb.waiting_time_ms, self._expire, ue_ref, self.generation)
         return True
 
-    def _gnb_msg4(self, ue_ref, ue):
-        self.emit(MsgKind.MSG4, ue_ref)
+    def _expire(self, ue_ref, generation):
+        if self.pending.get(ue_ref) == generation:
+            del self.pending[ue_ref]
+            self._release(ue_ref)
 
-    def _benign_attempt(self, ue, cause):
-        if self._ra_and_msg3(ue.ue_ref, cause, ue):
-            self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4, ue)
-        self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue, cause)
+    def _benign_attempt(self, ue_ref, retries_left):
+        answered = []
+        if self._ra_and_msg3(ue_ref, EstablishmentCause.MO_DATA, True):
+            self.schedule(self.now + self.gnb.msg3_to_msg4_delay_ms, self._benign_on_msg4,
+                          ue_ref, self.generation, answered)
+        self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue_ref,
+                      retries_left, answered)
 
-    def _benign_on_msg4(self, ue):
-        ue.got_msg4 = True
-        self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5, ue)
+    def _benign_on_msg4(self, ue_ref, generation, answered):
+        answered.append(True)
+        self.schedule(self.now + self.scenario.msg4_to_msg5_delay_ms, self._benign_msg5,
+                      ue_ref, generation)
 
-    def _benign_t300(self, ue, cause):
-        if ue.retries_left:
-            super()._benign_t300(ue, cause)
+    def _benign_msg5(self, ue_ref, generation):
+        self.emit(MsgKind.MSG5, ue_ref)
+        if self.pending.get(ue_ref) == generation:
+            del self.pending[ue_ref]
+            if self.scenario.benign_hold_ms is not None:
+                self.schedule(self.now + self.scenario.benign_hold_ms, self._release, ue_ref)
+
+    def _benign_t300(self, ue_ref, retries_left, answered):
+        if retries_left and not answered:
+            super()._benign_t300(ue_ref, retries_left)

@@ -44,6 +44,26 @@ class TestDropTime:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AnalyticInputs(**{**inputs, field: rate})
 
+    @pytest.mark.parametrize("field,value", [
+        ("capacity", math.inf), ("capacity", math.nan), ("capacity", 16.5), ("capacity", 16.0),
+        ("capacity", True), ("connected_ues", 2.5), ("connected_ues", 2.0),
+        ("connected_ues", False)])
+    def test_context_counts_must_be_integers(self, field, value):
+        inputs = {"waiting_time_ms": 2700, "capacity": 16, "attack_rate_per_s": 100}
+        with pytest.raises(TypeError) as excinfo:
+            AnalyticInputs(**{**inputs, field: value})
+        assert str(excinfo.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("capacity,connected,message", [
+        (0, 0, "capacity must be >= 1, got 0"), (-3, 0, "capacity must be >= 1, got -3"),
+        (16, 17, "connected_ues must be in [0, 16], got 17"),
+        (16, -1, "connected_ues must be in [0, 16], got -1")])
+    def test_context_counts_out_of_range_rejected(self, capacity, connected, message):
+        with pytest.raises(ValueError) as excinfo:
+            AnalyticInputs(waiting_time_ms=2700, capacity=capacity, attack_rate_per_s=100,
+                           connected_ues=connected)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("wait", [math.nan, math.inf, -math.inf])
     def test_non_finite_waiting_time_rejected(self, wait):
         with pytest.raises(ValueError) as excinfo:

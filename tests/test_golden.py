@@ -75,14 +75,14 @@ def test_replaying_golden_trace_reproduces_golden_verdicts(tmp_path):
 # (paper-highload), short-held background sessions that release their context
 # (normal), and a storm against a half-occupied paper gNB (paper-attack-50).
 # Then the engine's ties, pinned before its trains ran inline: a storm and
-# background ticks on the same 7 ms grid; T300 firing before a Msg4 delayed
-# 5 ms, and on the Msg4's ms; and an expiry on the Msg4's ms. Last, the edges
-# of the timers the engine leaves out, pinned before it did: an expiry on the
-# Msg5's ms, and UEs with no retry left.
+# background ticks on the same 7 ms grid; T300 firing on the ms of a Msg4
+# delayed 5 ms; and an expiry on the Msg4's ms. Last, the edges of the timers
+# the engine leaves out, pinned before it did: an expiry on the Msg5's ms, and
+# UEs with no retry left.
 EDGE_HIGHLOAD = dataclasses.replace(highload_scenario(3), preconnected_bue=0, benign_hold_ms=50)
 MSG4_AFTER_5MS = GnbConfig(msg3_to_msg4_delay_ms=5)
 EXPIRY_ON_MSG5 = GnbConfig(waiting_time_ms=15, msg3_to_msg4_delay_ms=5)   # d4 + d5 = 5 + 10
-NO_RETRIES = dataclasses.replace(highload_scenario(3), t300_ms=1, max_retries=0)
+NO_RETRIES = dataclasses.replace(highload_scenario(3), t300_ms=5, max_retries=0)
 TRACE_DIGESTS = [
     (scenario_from_preset("paper-highload", 3), default_gnb(),
      "b51a603ea490ac506d190a6f3d55e4c617c8177c1a6b40d0886f55bfc2381be8"),
@@ -95,8 +95,6 @@ TRACE_DIGESTS = [
                   background=TruncatedPoissonSpec(lam=0.3, k_max=2, tick_ms=7)),
      default_gnb(),
      "c4e83ffe17a2a1d6e3783ebdee0c45857603fa86f82ce7e237b9110ed81af6c0"),
-    (dataclasses.replace(EDGE_HIGHLOAD, t300_ms=1), MSG4_AFTER_5MS,
-     "b4ce3ca6adeaa8da4a277ec775924403eced38fe64d8463cef3fdf08b2ca2f85"),
     (dataclasses.replace(EDGE_HIGHLOAD, t300_ms=5), MSG4_AFTER_5MS,
      "5a0983105eadb7cf9b781247191703c065f9b667ca9db05b46e3ae8bf1fd1cc2"),
     (highload_scenario(3), GnbConfig(waiting_time_ms=5, msg3_to_msg4_delay_ms=5),
@@ -110,9 +108,8 @@ TRACE_DIGESTS = [
 
 @pytest.mark.parametrize("scenario,gnb,digest", TRACE_DIGESTS,
                          ids=["paper-highload", "normal-5s", "paper-attack-50",
-                              "attack-background-same-tick", "t300-before-msg4",
-                              "t300-on-msg4", "expiry-on-msg4", "expiry-on-msg5",
-                              "no-retries"])
+                              "attack-background-same-tick", "t300-on-msg4", "expiry-on-msg4",
+                              "expiry-on-msg5", "no-retries"])
 def test_trace_digest_stable(tmp_path, scenario, gnb, digest):
     path = tmp_path / "regen.rrctrace.jsonl"
     write_trace(run(scenario, gnb).trace, path)

@@ -29,6 +29,7 @@ from rrcstorm.harness import (
     cmd_run,
     cmd_table1,
     latency_campaign,
+    table1_scenario,
     table1_theoretical_row,
 )
 from rrcstorm.presets import (
@@ -37,6 +38,7 @@ from rrcstorm.presets import (
     default_gnb,
     highload_scenario,
     normal_scenario,
+    occupied_contexts,
 )
 from rrcstorm.telemetry import _CHUNK_LINES
 
@@ -47,6 +49,16 @@ def experiment(scenario, seeds, out_dir, name="exp"):
     return ExperimentConfig(name=name, scenario=scenario, gnb=default_gnb(),
                             detector=default_detector(), seeds=seeds,
                             out_dir=Path(out_dir))
+
+
+@pytest.mark.parametrize("capacity,pct,held", [(16, 25, 4), (6, 25, 2), (10, 25, 2),
+                                               (10, 75, 8), (16, 0, 0), (16, 100, 16)])
+def test_occupancy_rounds_half_to_even_everywhere(capacity, pct, held):
+    # 6 * 25% = 1.5 and 10 * 75% = 7.5 round up, 10 * 25% = 2.5 rounds down.
+    assert occupied_contexts(capacity, pct) == held
+    assert attack_scenario(pct, 1, capacity).preconnected_bue == held
+    assert table1_scenario(pct, 1, capacity).preconnected_bue == held
+    assert table1_theoretical_row(pct, capacity).accepted == capacity - held
 
 
 class TestTableOne:
@@ -511,6 +523,22 @@ def test_config_that_would_hang_the_engine_is_a_located_error(tmp_path, scenario
     path.write_text(json.dumps({"scenario": scenario}))   # NaN and Infinity, as json writes them
     proc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path)])
     assert (proc.returncode, proc.stderr) == (2, f"error: {path}: {message}\n")
+
+
+def test_t300_shorter_than_the_msg4_delay_is_one_error_line(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {**GOOD_SCENARIO, "t300_ms": 1},
+                                "gnb": {"msg3_to_msg4_delay_ms": 5}}))
+    proc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: t300_ms (1) must be >= msg3_to_msg4_delay_ms (5)\n")
+
+
+@pytest.mark.parametrize("pct", [150, -1])
+def test_occupancy_flag_out_of_range_is_one_error_line(tmp_path, capsys, pct):
+    argv = ["run", "--occupancy-pct", str(pct), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: occupancy_pct must be in [0, 100], got {pct}\n"
 
 
 def test_fleet_rate_above_the_msg1_cap_runs_at_the_cap(tmp_path):

@@ -335,6 +335,14 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             GnbConfig(capacity=0)
 
+    @pytest.mark.parametrize("t300_ms,delay", [(1, 5), (4, 5), (1, 2)])
+    def test_t300_shorter_than_the_msg4_delay_rejected(self, t300_ms, delay):
+        message = (rf"t300_ms \({t300_ms}\) must be >= "
+                   rf"msg3_to_msg4_delay_ms \({delay}\)")
+        with pytest.raises(ScenarioError, match=message):
+            run(dataclasses.replace(normal_scenario(1, 1000), t300_ms=t300_ms),
+                GnbConfig(msg3_to_msg4_delay_ms=delay))
+
     def test_onset_beyond_duration_rejected(self):
         with pytest.raises(ScenarioError):
             run(attack(duration_ms=100, onset_ms=200), GnbConfig())
@@ -385,7 +393,7 @@ def test_summarize_engine_trace_equals_reference(preset):
 @st.composite
 def engine_configs(draw):
     """A (ScenarioSpec, GnbConfig) pair at the engine's tie points: trains on the
-    same tick, T300 below, at or above the Msg4 delay, an expiry at the Msg4's ms,
+    same tick, T300 at or above the Msg4 delay, an expiry at the Msg4's ms,
     zero delays and up to three Msg1 per 1 ms frame."""
     frame_ms = draw(st.sampled_from([1, 1, 2, 7]))
     delay = draw(st.integers(0, 5))
@@ -410,7 +418,7 @@ def engine_configs(draw):
         background=background,
         msg4_to_msg5_delay_ms=draw(st.sampled_from([0, 1, 10])),
         onset_ms=onset, onset_jitter_ms=draw(st.integers(0, duration - onset)),
-        t300_ms=draw(st.sampled_from([max(delay - 1, 1), max(delay, 1), delay + 1, 30])),
+        t300_ms=draw(st.sampled_from([max(delay, 1), delay + 1, 30])),
         max_retries=draw(st.integers(0, 3)),
         benign_hold_ms=draw(st.sampled_from([None, 0, 20])))
     return scenario, gnb
@@ -447,6 +455,37 @@ def test_engines_agree_when_drawn_refs_name_live_contexts(config):
     scenario, gnb = config
     assert (run_with_eight_refs(simnet._Engine, scenario, gnb)
             == run_with_eight_refs(ReferenceEngine, scenario, gnb))
+
+
+@settings(deadline=None, max_examples=300)
+@given(engine_configs())
+def test_only_a_full_pool_rejects_a_msg3(config):
+    scenario, gnb = config
+    trace = run(scenario, gnb).trace
+    timeline = occupancy_timeline(trace, scenario.preconnected_bue)
+    assert max(timeline, default=0) <= gnb.capacity
+    for event, occupancy in zip(trace, timeline):
+        if event.kind is MsgKind.MSG3_REJECTED:
+            assert occupancy == gnb.capacity, event
+
+
+def test_retry_on_a_ref_another_ue_took_is_redrawn():
+    # A benign UE every 10 ms into two contexts, each held 25 ms. The UE at t=20 is
+    # rejected; at t=30 the UE that arrives draws the same ref and takes the context
+    # freed at 25. At t=40 the first UE's T300 fires with a context free since 35:
+    # its ref is held, so it retries under a fresh one and is admitted.
+    gnb = GnbConfig(capacity=2, waiting_time_ms=1000, msg3_to_msg4_delay_ms=0,
+                    max_msg1_per_frame=1000)
+    scenario = ScenarioSpec(kind=ScenarioKind.HIGH_LOAD, duration_ms=31, seed=1,
+                            benign_fleet_rate_per_s=100.0, msg4_to_msg5_delay_ms=0,
+                            t300_ms=20, benign_hold_ms=25)
+    result = run_with_eight_refs(simnet._Engine, scenario, gnb)
+    msg3 = [(e.t, e.ue_ref) for e in result.trace if e.kind is MsgKind.MSG3]
+    assert [t for t, _ in msg3] == [0, 10, 20, 30, 40]
+    assert msg3[3][1] == msg3[2][1] != msg3[4][1]
+    assert [(e.t, e.ue_ref) for e in result.trace
+            if e.kind is MsgKind.MSG3_REJECTED] == [msg3[2]]
+    assert result == run_with_eight_refs(ReferenceEngine, scenario, gnb)
 
 
 MS_CONFIGS = [attack(), GnbConfig(), TruncatedPoissonSpec(), DetectorConfig()]
