@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .events import _check_types
+
 #: Waiting time configured on the reference testbed.
 WAITING_TIME_NOMINAL_MS = 2700.0
 #: Waiting time back-solved from the reference results: every reported
@@ -42,13 +44,11 @@ class AnalyticInputs:
     connected_ues: int = 0
 
     def __post_init__(self) -> None:
+        _check_types(self)
         wait = self.waiting_time_ms
         if not 0 < wait < math.inf:
             raise ValueError(f"waiting_time_ms must be finite and > 0, got {wait}")
         capacity, connected = self.capacity, self.connected_ues
-        for name, value in (("capacity", capacity), ("connected_ues", connected)):
-            if type(value) is not int:   # a bool or a float would be counted as contexts
-                raise TypeError(f"{name} must be an integer, got {value!r}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0 <= connected <= capacity:

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from . import harness, presets
+from . import harness, presets, telemetry
 from .detector import DetectorConfig, GnbState
 from .events import EstablishmentCause
-from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, TruncatedPoissonSpec
+from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, TruncatedPoissonSpec, _check_fits
 from .telemetry import TRACE_SUFFIX, VERDICT_SUFFIX
 
 
@@ -25,24 +24,17 @@ class ConfigError(ValueError):
     """A JSON config that cannot be loaded; the message names the file and section."""
 
 
-def _check_keys(data: object, allowed: Iterable[str], where: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    return data
-
-
 def _build(cls: type, data: object, where: str, **convert: Callable) -> Any:
-    """cls(**data) for a JSON object of cls's fields, convert[field] applied to non-null
-    values; type and value errors, the constructor's checks included, name where."""
-    fields = dict(_check_keys(data, [f.name for f in dataclasses.fields(cls)], where))
+    """cls(**data) for a JSON object of cls's fields, those with no default required,
+    convert[field] applied to non-null values; key, type and value errors name where."""
+    fields = dataclasses.fields(cls)
     try:
+        data = dict(telemetry._checked_object(data, [f.name for f in fields], [
+            f.name for f in fields if f.default is dataclasses.MISSING]))
         for key, fn in convert.items():
-            if fields.get(key) is not None:
-                fields[key] = fn(fields[key])
-        return cls(**fields)
+            if data.get(key) is not None:
+                data[key] = fn(data[key])
+        return cls(**data)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -54,24 +46,20 @@ def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfi
 
     "scenario" is required; an omitted "gnb" or "detector" takes the defaults.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
-        except ValueError as exc:   # JSONDecodeError, or an int of too many digits
-            raise ConfigError(f"{path}: bad JSON: {exc}") from None
-        except RecursionError:
-            raise ConfigError(f"{path}: bad JSON: nested too deep") from None
-    data = _check_keys(data, ("scenario", "gnb", "detector"), str(path))
-    if "scenario" not in data:
-        raise ConfigError(f"{path}: scenario: missing section")
-    scenario = _build(
-        ScenarioSpec, data["scenario"], f"{path}: scenario",
-        kind=ScenarioKind, attacker_cause=EstablishmentCause,
-        background=lambda bg: _build(TruncatedPoissonSpec, bg, f"{path}: scenario.background"))
-    gnb = _build(GnbConfig, data.get("gnb", {}), f"{path}: gnb")
-    detector = _build(DetectorConfig, data.get("detector", {}), f"{path}: detector")
+    try:
+        data = telemetry._json_object("".join(telemetry._blocks(path)),
+                                      ("scenario", "gnb", "detector"), ("scenario",))
+        scenario = _build(
+            ScenarioSpec, data["scenario"], "scenario", kind=ScenarioKind,
+            attacker_cause=EstablishmentCause,
+            background=lambda bg: _build(TruncatedPoissonSpec, bg, "scenario.background"))
+        gnb = _build(GnbConfig, data.get("gnb", {}), "gnb")
+        detector = _build(DetectorConfig, data.get("detector", {}), "detector")
+        _check_fits(scenario, gnb)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return scenario, gnb, detector
 
 

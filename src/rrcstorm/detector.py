@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .events import MsgKind, RrcEvent, _require_int_ms
+from .events import MsgKind, RrcEvent, _check_types
 
 
 #: Below this many Msg3s in a window, r1 is not meaningful and reads as 1 (idle).
@@ -49,7 +49,7 @@ class DetectorConfig:
     msg3_watermark: int = 8          # per-window Msg3 count above which traffic is abnormal
 
     def __post_init__(self) -> None:
-        _require_int_ms(self)
+        _check_types(self)
         if not 0 < self.hop_ms <= self.window_ms:
             raise ValueError("hop_ms must be in (0, window_ms]")
         for name in ("r1_threshold", "r2_threshold"):

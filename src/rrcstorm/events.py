@@ -29,18 +29,18 @@ class EstablishmentCause(str, Enum):
 _MSG3 = MsgKind.MSG3   # bound once for the per-event checks
 
 
-def _require_int_ms(config: object) -> None:
-    """TypeError unless every *_ms field of a config dataclass holds an int.
-
-    A bool is refused although it is an int; None passes only where it is the
-    field's default. A float would make the engine emit float timestamps.
-    """
+def _check_types(config: object) -> None:
+    """TypeError unless each int or Optional[int] field of a config dataclass holds an int
+    (a float would give float timestamps, a bool count as a context), each float one an int
+    or a float but no bool, and None is only in an Optional one (f.type is the annotation)."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if not f.name.endswith("_ms") or (value is None and f.default is None):
+        value, base = getattr(config, f.name), f.type.removeprefix("Optional[").rstrip("]")
+        if value is None and base != f.type:
             continue
-        if not isinstance(value, int) or isinstance(value, bool):
+        if base == "int" and type(value) is not int:
             raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        if base == "float" and type(value) not in (int, float):
+            raise TypeError(f"{f.name} must be a number, got {value!r}")
 
 
 class RrcEvent(NamedTuple):

@@ -50,7 +50,6 @@ def _seeded_runs(scenario: ScenarioSpec, seeds: Iterable[int], gnb: GnbConfig,
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Header plus rows in csv.writer's default dialect, CRLF ends and all, through
     telemetry's .part file and rename; None is written as an empty cell."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     # writerow returns what write returns, here the row's text; _write_lines puts
     # back the LF cut from its CRLF.
     row_text = csv.writer(SimpleNamespace(write=str)).writerow
@@ -252,7 +251,6 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
     """
     if config.out_dir is None:
         raise ValueError("cmd_run needs an output directory")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     trace_paths, verdict_paths = [], []
     metrics_rows = []
     acc, rej = [], []
@@ -289,6 +287,5 @@ def cmd_replay(trace_path: Path, detector: DetectorConfig, out_path: Path) -> in
     """Stream a recorded trace through the detector to a verdict file; returns the count."""
     if out_path.exists() and out_path.samefile(trace_path):
         raise ValueError(f"verdict file {out_path} is the trace being replayed")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     return telemetry.write_verdicts(
         iter_verdicts(telemetry.iter_trace(trace_path), detector), out_path)

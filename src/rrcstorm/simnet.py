@@ -17,7 +17,7 @@ from itertools import chain, cycle, repeat
 from typing import Callable, Optional
 
 from .analytic import _round_half_up
-from .events import EstablishmentCause, MsgKind, RrcEvent, _require_int_ms, validate_stream
+from .events import EstablishmentCause, MsgKind, RrcEvent, _check_types, validate_stream
 
 # Members bound once: a module global reads ~10x faster than MsgKind.MSG3 in the
 # per-event code below.
@@ -51,7 +51,7 @@ class GnbConfig:
     msg3_to_msg4_delay_ms: int = 1
 
     def __post_init__(self) -> None:
-        _require_int_ms(self)
+        _check_types(self)
         if self.capacity < 1:
             raise ScenarioError("capacity must be >= 1")
         if self.waiting_time_ms <= 0:
@@ -81,10 +81,10 @@ class TruncatedPoissonSpec:
     tick_ms: int = 100
 
     def __post_init__(self) -> None:
-        _require_int_ms(self)
+        _check_types(self)
         if not 0 <= self.lam < math.inf:
             raise ScenarioError(f"lam must be finite and >= 0, got {self.lam}")
-        if not self.k_max >= 0:
+        if self.k_max < 0:
             raise ScenarioError("k_max must be >= 0")
         if self.tick_ms < 1:
             raise ScenarioError("tick_ms must be >= 1")
@@ -156,7 +156,7 @@ class ScenarioSpec:
     attacker_cause: EstablishmentCause = EstablishmentCause.EMERGENCY
 
     def __post_init__(self) -> None:
-        _require_int_ms(self)
+        _check_types(self)
         for name, enum in (("kind", ScenarioKind), ("attacker_cause", EstablishmentCause)):
             value = getattr(self, name)
             if not isinstance(value, enum):
@@ -207,6 +207,15 @@ class SimResult:
     availability_first_period_pct: Optional[float]
 
 
+def _check_fits(scenario: ScenarioSpec, gnb: GnbConfig) -> None:
+    """ScenarioError unless the gNB can run the scenario: the checks that need both."""
+    if scenario.preconnected_bue > gnb.capacity:
+        raise ScenarioError("preconnected_bue exceeds gNB capacity")
+    if scenario.t300_ms < gnb.msg3_to_msg4_delay_ms:
+        raise ScenarioError(f"t300_ms ({scenario.t300_ms}) must be >= "
+                            f"msg3_to_msg4_delay_ms ({gnb.msg3_to_msg4_delay_ms})")
+
+
 class _Engine:
     """Event loop: heap keyed by (t, seq); ties resolve in insertion order.
 
@@ -215,11 +224,7 @@ class _Engine:
     """
 
     def __init__(self, scenario: ScenarioSpec, gnb: GnbConfig):
-        if scenario.preconnected_bue > gnb.capacity:
-            raise ScenarioError("preconnected_bue exceeds gNB capacity")
-        if scenario.t300_ms < gnb.msg3_to_msg4_delay_ms:
-            raise ScenarioError(f"t300_ms ({scenario.t300_ms}) must be >= "
-                                f"msg3_to_msg4_delay_ms ({gnb.msg3_to_msg4_delay_ms})")
+        _check_fits(scenario, gnb)
         self.scenario = scenario
         self.gnb = gnb
         self.rng = random.Random(scenario.seed)

@@ -28,6 +28,8 @@ VERDICT_SUFFIX = ".verdicts.jsonl"
 _KINDS = {k.value: k for k in MsgKind}
 _CAUSES = {c.value: c for c in EstablishmentCause}
 _STATES = {s.value: s for s in GnbState}
+_TRACE_KEYS = ("t", "kind", "ue", "cause")   # the first three are required
+_VERDICT_KEYS = ("t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2")
 # Member -> its text for the writers, and MSG3 bound once for the writer: a dict
 # read or a module global costs a tenth of .value or MsgKind.MSG3 per record.
 _TEXT = {m: m.value for enum in (MsgKind, EstablishmentCause, GnbState) for m in enum}
@@ -135,8 +137,9 @@ def _refused(i: int, t, kind, ue, cause, prev_t: int) -> ValueError:
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:
     """Stream one LF-terminated line per item to sink; returns the line count.
 
-    A file gets the lines through <path>.part, renamed only once all are written;
-    a device or FIFO (/dev/stdout) is written in place, as a rename would replace it.
+    A file goes through <path>.part, its directory made if missing, renamed once all
+    lines are written; a device or FIFO (/dev/stdout) is written in place, as a rename
+    would replace it.
     """
     if not isinstance(sink, (str, Path)):
         return _write_to(sink, lines)
@@ -144,6 +147,7 @@ def _write_lines(lines: Iterable[str], sink: Sink) -> int:
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:
             return _write_to(fh, lines)
     part = Path(f"{sink}.part")
+    part.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
             count = _write_to(fh, lines)
@@ -173,19 +177,36 @@ def write_trace(events: Iterable[RrcEvent], sink: Sink) -> int:
     return _write_lines(_trace_lines(events), sink)
 
 
-def _load_record(line_no: int, line: str) -> dict:
-    """The checks both readers share: a non-blank line holding one JSON object."""
+def _checked_object(value: object, allowed: Iterable[str], required: Iterable[str]) -> dict:
+    """value if a JSON object of allowed keys with every required one; else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    if unknown := value.keys() - allowed:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    if missing := [key for key in required if key not in value]:
+        raise ValueError(f"missing key '{missing[0]}'")
+    return value
+
+
+def _json_object(text: str, allowed: Iterable[str], required: Iterable[str]) -> dict:
+    """The JSON object text holds, checked by _checked_object; ValueError otherwise."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:   # JSONDecodeError, or an int of too many digits
+        raise ValueError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("bad JSON: nested too deep") from None
+    return _checked_object(value, allowed, required)
+
+
+def _load_record(line_no: int, line: str, allowed: tuple, required: tuple) -> dict:
+    """The JSON object one line of a trace or verdict file holds, or TraceParseError."""
     if not line:
         raise TraceParseError(line_no, "blank line")
     try:
-        record = json.loads(line)
-    except ValueError as exc:   # JSONDecodeError, or an int of too many digits
-        raise TraceParseError(line_no, f"bad JSON: {exc}") from None
-    except RecursionError:
-        raise TraceParseError(line_no, "bad JSON: nested too deep") from None
-    if not isinstance(record, dict):
-        raise TraceParseError(line_no, "record is not an object")
-    return record
+        return _json_object(line, allowed, required)
+    except ValueError as exc:
+        raise TraceParseError(line_no, str(exc)) from None
 
 
 def _member(table: dict, value: object):
@@ -195,18 +216,11 @@ def _member(table: dict, value: object):
 
 
 def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
-    record = _load_record(line_no, line)
-    unknown = set(record) - {"t", "kind", "ue", "cause"}
-    if unknown:
-        raise TraceParseError(line_no, f"unknown keys {sorted(unknown)}")
-    for key in ("t", "kind", "ue"):
-        if key not in record:
-            raise TraceParseError(line_no, f"missing key '{key}'")
+    record = _load_record(line_no, line, _TRACE_KEYS, _TRACE_KEYS[:3])
     t, kind, ue, cause = record["t"], _member(_KINDS, record["kind"]), record["ue"], None
     if "cause" in record:   # a JSON null goes to the rule as "null": refused, not no cause
         cause = _member(_CAUSES, "null" if record["cause"] is None else record["cause"])
-    reason = _event_refusal(t, kind, ue, cause, prev_t)
-    if reason is not None:
+    if (reason := _event_refusal(t, kind, ue, cause, prev_t)) is not None:
         raise TraceParseError(line_no, reason)
     return RrcEvent(t, kind, ue, cause)
 
@@ -303,18 +317,13 @@ def write_verdicts(verdicts: Iterable[DetectionVerdict], sink: Sink) -> int:
     return _write_lines(_verdict_lines(verdicts), sink)
 
 
-_VERDICT_KEYS = {"t", "state", "n_msg3", "n_msg4", "n_msg5", "r1", "r2"}
-
-
 def read_verdicts(source: Source) -> list[DetectionVerdict]:
     """Parse a verdict file; ratios come back rounded to their 4 decimals."""
     verdicts, line_no = [], 0
     try:
         for block in _blocks(source):
             for line_no, line in enumerate(block.split("\n")[:-1], line_no + 1):
-                record = _load_record(line_no, line)
-                if set(record) != _VERDICT_KEYS:
-                    raise TraceParseError(line_no, f"keys must be {sorted(_VERDICT_KEYS)}")
+                record = _load_record(line_no, line, _VERDICT_KEYS, _VERDICT_KEYS)
                 verdict = DetectionVerdict(
                     record["t"], _member(_STATES, record["state"]), record["n_msg3"],
                     record["n_msg4"], record["n_msg5"], record["r1"], record["r2"])

@@ -456,10 +456,11 @@ GOOD_SCENARIO = {"kind": "attack", "duration_ms": 2000, "attacker_rate_per_s": 1
      "scenario.background: unknown keys ['x']"),
     ({"scenario": {**GOOD_SCENARIO, "background": [2.0]}},
      "scenario.background: expected an object, got list"),
-    ({"gnb": {"capacity": 16}}, "scenario: missing section"),
+    ({"gnb": {"capacity": 16}}, "missing key 'scenario'"),
     ([GOOD_SCENARIO], "expected an object, got list"),
     ({"scenario": GOOD_SCENARIO, "gnbs": {}}, "unknown keys ['gnbs']"),
-    ({"scenario": GOOD_SCENARIO, "gnb": {"capacity": "16"}}, "gnb: '<' not supported"),
+    ({"scenario": GOOD_SCENARIO, "gnb": {"capacity": "16"}},
+     "gnb: capacity must be an integer, got '16'"),
     ({"scenario": GOOD_SCENARIO, "gnb": []}, "gnb: expected an object, got list"),
     ({"scenario": GOOD_SCENARIO, "detector": {"min_msg3_for_ratios": 3}},
      "detector: unknown keys ['min_msg3_for_ratios']"),
@@ -492,6 +493,38 @@ def test_bad_config_file_is_a_located_error(tmp_path, capsys, config, message):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+GOOD_RECORDS = {
+    "trace": {"t": 0, "kind": "msg1", "ue": "a"},
+    "verdicts": {"t": 625, "state": "normal", "n_msg3": 0, "n_msg4": 0, "n_msg5": 0,
+                 "r1": 1.0, "r2": 1.0},
+    "config": {"scenario": GOOD_SCENARIO},
+}
+READERS = {"trace": read_trace, "verdicts": read_verdicts, "config": load_config_file}
+
+
+@pytest.mark.parametrize("reader", list(GOOD_RECORDS))
+@pytest.mark.parametrize("fault", ["list", "extra-key", "missing-key", "nested", "not-utf8"])
+def test_one_fault_has_one_wording(tmp_path, reader, fault):
+    record, read = GOOD_RECORDS[reader], READERS[reader]
+    first = next(iter(record))
+    content, reason = {
+        "list": (json.dumps([record]).encode(), "expected an object, got list"),
+        "extra-key": (json.dumps({**record, "x": 1}).encode(), "unknown keys ['x']"),
+        "missing-key": (json.dumps({k: v for k, v in record.items() if k != first}).encode(),
+                        f"missing key '{first}'"),
+        "nested": (b"[" * 100_000, "bad JSON: nested too deep"),
+        "not-utf8": (b"\xff", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                              "invalid start byte"),
+    }[fault]
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    read(path)   # the record itself is accepted
+    path.write_bytes(content + b"\n")
+    with pytest.raises(ConfigError if reader == "config" else TraceParseError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == (f"{path}: " if reader == "config" else "line 1: ") + reason
+
+
 def run_cli(argv):
     """`python -m rrcstorm.cli argv` in a child process, stopped after 60 s."""
     return subprocess.run([sys.executable, "-m", "rrcstorm.cli", *argv], capture_output=True,
@@ -512,7 +545,7 @@ BACKGROUND = {"kind": "normal", "duration_ms": 2000}
      "scenario.background: lam=60 with k_max=3 accepts a draw with probability 3.32e-22, "
      "below 0.001"),
     ({**BACKGROUND, "background": {"lam": 0, "k_max": math.nan}},
-     "scenario.background: k_max must be >= 0"),
+     "scenario.background: k_max must be an integer, got nan"),
     ({"kind": "high_load", "duration_ms": 2000, "benign_fleet_rate_per_s": math.inf},
      "scenario: benign_fleet_rate_per_s must be finite, got inf"),
     ({**GOOD_SCENARIO, "attacker_rate_per_s": math.nan},
@@ -531,7 +564,46 @@ def test_t300_shorter_than_the_msg4_delay_is_one_error_line(tmp_path):
                                 "gnb": {"msg3_to_msg4_delay_ms": 5}}))
     proc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path)])
     assert (proc.returncode, proc.stderr) == (
-        2, "error: t300_ms (1) must be >= msg3_to_msg4_delay_ms (5)\n")
+        2, f"error: {path}: t300_ms (1) must be >= msg3_to_msg4_delay_ms (5)\n")
+
+
+FULL_POOL = {"kind": "high_load", "duration_ms": 2000, "benign_fleet_rate_per_s": 80.0,
+             "preconnected_bue": 16}
+
+
+# Past the type rule, each of these would hang the engine (max_retries 1.5 on a full
+# pool), crash it or count a bool as contexts, so the CLI runs in a child process that
+# a timeout can stop.
+@pytest.mark.parametrize("config,message", [
+    ({"scenario": {**FULL_POOL, "max_retries": 1.5}},
+     "scenario: max_retries must be an integer, got 1.5"),
+    ({"scenario": {**GOOD_SCENARIO, "preconnected_bue": 2.5}},
+     "scenario: preconnected_bue must be an integer, got 2.5"),
+    ({"scenario": GOOD_SCENARIO, "gnb": {"capacity": 16.5}},
+     "gnb: capacity must be an integer, got 16.5"),
+    ({"scenario": GOOD_SCENARIO, "gnb": {"capacity": True}},
+     "gnb: capacity must be an integer, got True"),
+], ids=["max_retries-1.5", "preconnected-2.5", "capacity-16.5", "capacity-true"])
+def test_mistyped_count_is_one_error_line(tmp_path, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (2, f"error: {path}: {message}\n")
+
+
+def test_refused_run_leaves_no_directory(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {**GOOD_SCENARIO, "preconnected_bue": 20}}))
+    out = tmp_path / "new"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: preconnected_bue exceeds gNB capacity\n"
+    # The engine refuses it too, when harness is called with no config file: 12 > 8.
+    config = ExperimentConfig(name="x", scenario=attack_scenario(75, 1),
+                              gnb=default_gnb(capacity=8), detector=default_detector(),
+                              seeds=[1], out_dir=out)
+    with pytest.raises(ValueError, match="preconnected_bue exceeds gNB capacity"):
+        cmd_run(config)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pct", [150, -1])

@@ -179,8 +179,8 @@ class TestVerdicts:
         assert all(v.state is GnbState.ATTACK for v in parsed)
 
     @pytest.mark.parametrize("line,fragment", [
-        ('5', "not an object"),
-        ('["t","state"]', "not an object"),
+        ('5', "expected an object, got int"),
+        ('["t","state"]', "expected an object, got list"),
         ('{"t":"x","state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0}', "'t'"),
         ('{"t":true,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0}', "'t'"),
         ('{"t":650,"state":"attack","n_msg3":1.5,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0}',
