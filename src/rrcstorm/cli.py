@@ -55,7 +55,6 @@ def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfi
             background=lambda bg: _build(TruncatedPoissonSpec, bg, "scenario.background"))
         gnb = _build(GnbConfig, data.get("gnb", {}), "gnb")
         detector = _build(DetectorConfig, data.get("detector", {}), "detector")
-        _check_fits(scenario, gnb)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     except ValueError as exc:
@@ -90,8 +89,7 @@ def _resolve(args: argparse.Namespace, seed: int,
              ) -> tuple[ScenarioSpec, GnbConfig, DetectorConfig]:
     if args.scenario in presets.PRESET_NAMES:
         scenario = presets.scenario_from_preset(args.scenario, seed)
-        gnb = presets.default_gnb()
-        detector = presets.default_detector()
+        gnb, detector, where = presets.default_gnb(), presets.default_detector(), ""
     else:
         path = Path(args.scenario)
         if not path.exists():
@@ -99,11 +97,15 @@ def _resolve(args: argparse.Namespace, seed: int,
                 f"unknown scenario {args.scenario!r}: not a preset "
                 f"({', '.join(presets.PRESET_NAMES)}) and no such file")
         scenario, gnb, detector = load_config_file(path)
-        scenario = dataclasses.replace(scenario, seed=seed)
+        scenario, where = dataclasses.replace(scenario, seed=seed), f"{path}: "
     scenario, gnb, detector = _override(args, scenario=scenario, gnb=gnb, detector=detector)
     if args.occupancy_pct is not None:
         held = presets.occupied_contexts(gnb.capacity, args.occupancy_pct)
         scenario = dataclasses.replace(scenario, preconnected_bue=held)
+    try:   # after the flags, which can make a config file's sections fit or not
+        _check_fits(scenario, gnb)
+    except ValueError as exc:
+        raise type(exc)(f"{where}{exc}") from None
     return scenario, gnb, detector
 
 
@@ -222,10 +224,8 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     [detector] = _override(args, detector=presets.default_detector())
-    out = args.out
-    if out is None:
-        stem = args.trace.name.removesuffix(TRACE_SUFFIX)
-        out = args.trace.with_name(stem + VERDICT_SUFFIX)
+    out = args.out or args.trace.with_name(
+        args.trace.name.removesuffix(TRACE_SUFFIX) + VERDICT_SUFFIX)
     count = harness.cmd_replay(args.trace, detector, out)
     print(f"{count} verdicts -> {out}")
     return 0

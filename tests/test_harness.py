@@ -606,6 +606,19 @@ def test_refused_run_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+# The capacity check runs after the flags: they can make a file's sections fit or not.
+@pytest.mark.parametrize("preconnected,flags,err", [
+    (20, ["--capacity", "32"], ""),
+    (20, ["--occupancy-pct", "50"], ""),
+    (12, ["--capacity", "8"], "preconnected_bue exceeds gNB capacity"),
+], ids=["capacity-fits", "occupancy-fits", "capacity-overfull"])
+def test_flags_decide_whether_a_config_file_fits(tmp_path, capsys, preconnected, flags, err):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {**GOOD_SCENARIO, "preconnected_bue": preconnected}}))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"), *flags])
+    assert (code, capsys.readouterr().err) == ((2, f"error: {path}: {err}\n") if err else (0, ""))
+
+
 @pytest.mark.parametrize("pct", [150, -1])
 def test_occupancy_flag_out_of_range_is_one_error_line(tmp_path, capsys, pct):
     argv = ["run", "--occupancy-pct", str(pct), "--out", str(tmp_path)]

@@ -500,18 +500,15 @@ def test_ms_field_must_be_an_integer(config, field, bad):
         dataclasses.replace(config, **{field: bad})
 
 
-ANALYTIC = AnalyticInputs(waiting_time_ms=2700, capacity=16, attack_rate_per_s=100)
-# Listed by hand, not read from the annotations the rule reads.
-INT_FIELDS = [
-    *((GnbConfig(), f) for f in ("capacity", "waiting_time_ms", "frame_ms",
-                                  "max_msg1_per_frame", "msg3_to_msg4_delay_ms")),
-    *((attack(), f) for f in ("duration_ms", "seed", "preconnected_bue",
-                              "msg4_to_msg5_delay_ms", "onset_ms", "onset_jitter_ms",
-                              "t300_ms", "max_retries", "benign_hold_ms")),
-    *((TruncatedPoissonSpec(), f) for f in ("k_max", "tick_ms")),
-    *((DetectorConfig(), f) for f in ("window_ms", "hop_ms", "msg3_watermark")),
-    *((ANALYTIC, f) for f in ("capacity", "connected_ues")),
+# The int fields the test above misses, listed by hand, not read from the annotations
+# the rule reads; AnalyticInputs' two are in test_analytic.
+COUNT_FIELDS = [
+    *((GnbConfig(), f) for f in ("capacity", "max_msg1_per_frame")),
+    *((attack(), f) for f in ("seed", "preconnected_bue", "max_retries")),
+    (TruncatedPoissonSpec(), "k_max"),
+    (DetectorConfig(), "msg3_watermark"),
 ]
+ANALYTIC = AnalyticInputs(waiting_time_ms=2700, capacity=16, attack_rate_per_s=100)
 FLOAT_FIELDS = [
     *((attack(), f) for f in ("attacker_rate_per_s", "benign_fleet_rate_per_s")),
     (TruncatedPoissonSpec(), "lam"),
@@ -520,10 +517,10 @@ FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("config,field", INT_FIELDS,
-                         ids=[f"{type(c).__name__}.{f}" for c, f in INT_FIELDS])
-@pytest.mark.parametrize("bad", [1.5, True])
-def test_int_field_must_be_an_integer(config, field, bad):
+@pytest.mark.parametrize("config,field", COUNT_FIELDS,
+                         ids=[f"{type(c).__name__}.{f}" for c, f in COUNT_FIELDS])
+@pytest.mark.parametrize("bad", [2.0, 1.5, True])
+def test_count_field_must_be_an_integer(config, field, bad):
     with pytest.raises(TypeError) as excinfo:
         dataclasses.replace(config, **{field: bad})
     assert str(excinfo.value) == f"{field} must be an integer, got {bad!r}"
