@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -219,7 +220,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         print(f"margin before overload ms  mean: {summary.mean_margin_ms:.1f}")
     print(f"attack verdicts across runs: {summary.total_attack_verdicts}")
     print(f"csv: {out_path}")
-    return summary.detected != summary.runs
+    return int(summary.detected != summary.runs)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -235,11 +236,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "table1": _cmd_table1,
                 "latency": _cmd_latency, "replay": _cmd_replay}
+    # The cyclic collector is paused while the command runs: every retained event holds
+    # an enum member, so each pass walks the whole trace again, and a command leaves no
+    # cycles per repetition to free. The caller's setting comes back on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.cmd](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -194,6 +194,7 @@ def latency_campaign(config: ExperimentConfig,
 
     Runs that never reach the target state become failure rows with empty
     latency rather than being dropped from the statistics.
+    ValueError for a run with no Msg3, as it has no onset to time from.
     """
     if target is None:
         target = (GnbState.ATTACK if config.scenario.kind is ScenarioKind.ATTACK
@@ -203,7 +204,7 @@ def latency_campaign(config: ExperimentConfig,
                                                config.gnb, config.detector):
         onset = result.first_msg3_ms
         if onset is None:
-            raise RuntimeError(f"seed {seed}: scenario produced no Msg3")
+            raise ValueError(f"seed {seed}: scenario produced no Msg3")
         latency = detection_latency(verdicts, onset, target)
         margin = None
         if latency is not None and result.drop_time_ms is not None:

@@ -161,6 +161,9 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not isinstance(value, enum):
                 raise ScenarioError(f"{name} must be a member of {enum.__name__}, got {value!r}")
+        if not isinstance(self.background, (TruncatedPoissonSpec, type(None))):
+            raise TypeError(f"background must be a TruncatedPoissonSpec, "
+                            f"got {type(self.background).__name__}")
         if self.duration_ms <= 0:
             raise ScenarioError("duration_ms must be > 0")
         if self.preconnected_bue < 0:

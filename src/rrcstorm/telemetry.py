@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import suppress
 from io import BytesIO, TextIOBase
-from itertools import islice, repeat
+from itertools import islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from pathlib import Path
@@ -137,9 +138,10 @@ def _refused(i: int, t, kind, ue, cause, prev_t: int) -> ValueError:
 def _write_lines(lines: Iterable[str], sink: Sink) -> int:
     """Stream one LF-terminated line per item to sink; returns the line count.
 
-    A file goes through <path>.part, its directory made if missing, renamed once all
-    lines are written; a device or FIFO (/dev/stdout) is written in place, as a rename
-    would replace it.
+    A file goes through <path>.part, its missing directories made, renamed once all
+    lines are written; a write that fails removes the .part file and the directories
+    it made, while empty. A device or FIFO (/dev/stdout) is written in place, as a
+    rename would replace it.
     """
     if not isinstance(sink, (str, Path)):
         return _write_to(sink, lines)
@@ -147,6 +149,7 @@ def _write_lines(lines: Iterable[str], sink: Sink) -> int:
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:
             return _write_to(fh, lines)
     part = Path(f"{sink}.part")
+    made = list(takewhile(lambda d: not d.exists(), part.parents))   # deepest first
     part.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
@@ -154,6 +157,9 @@ def _write_lines(lines: Iterable[str], sink: Sink) -> int:
         part.replace(sink)
     except BaseException:
         part.unlink(missing_ok=True)
+        for directory in made:   # rmdir refuses one that is not empty
+            with suppress(OSError):
+                directory.rmdir()
         raise
     return count
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -617,6 +618,82 @@ def test_flags_decide_whether_a_config_file_fits(tmp_path, capsys, preconnected,
     path.write_text(json.dumps({"scenario": {**GOOD_SCENARIO, "preconnected_bue": preconnected}}))
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"), *flags])
     assert (code, capsys.readouterr().err) == ((2, f"error: {path}: {err}\n") if err else (0, ""))
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+def test_failed_replay_removes_only_the_directories_it_made(tmp_path, capsys, existing):
+    trace = tmp_path / "bad.rrctrace.jsonl"
+    trace.write_text("junk\n")
+    vdir = tmp_path / "vdir"
+    if existing:
+        vdir.mkdir()
+    assert main(["replay", str(trace), "--out", str(vdir / "sub" / "v.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: bad JSON: ")
+    assert sorted(tmp_path.rglob("*")) == [trace] + [vdir] * existing
+
+
+def test_latency_on_a_scenario_with_no_msg3_is_one_error_line(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {"kind": "normal", "duration_ms": 1000,
+                                             "background": {"lam": 0.0}}}))
+    proc = run_cli(["latency", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stderr) == (2, "error: seed 1: scenario produced no Msg3\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,code", [("paper-attack-0", 0), ("paper-normal", 1)])
+def test_latency_returns_an_int(tmp_path, scenario, code):
+    # What main returns to a caller that embeds it: 1, not True, when a run goes undetected.
+    script = "import sys; from rrcstorm.cli import main; print(repr(main(sys.argv[1:])))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "latency", "--scenario", scenario, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, repr(code))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-collects", "caller-paused"])
+@pytest.mark.parametrize("outcome", ["return", "exit-2", "raise"])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(
+        tmp_path, monkeypatch, capsys, enabled, outcome):
+    trace = tmp_path / "t.rrctrace.jsonl"
+    trace.write_text("junk\n" if outcome == "exit-2" else "")
+    during = []
+
+    def replay(*args):
+        during.append(gc.isenabled())
+        if outcome == "raise":
+            raise RuntimeError("replay broke")
+        return cmd_replay(*args)
+
+    monkeypatch.setattr(harness, "cmd_replay", replay)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raise":
+            with pytest.raises(RuntimeError, match="replay broke"):
+                main(["replay", str(trace)])
+        else:
+            assert main(["replay", str(trace)]) == (0 if outcome == "return" else 2)
+        assert (during, gc.isenabled()) == ([False], enabled)
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+# The collector is paused during a command on the grounds that a command makes no
+# cyclic garbage per repetition: what it leaves (argparse's parser) is the same at any --reps.
+@pytest.mark.parametrize("cmd", ["run", "latency", "table1"])
+def test_a_command_leaves_the_same_cycles_at_any_reps(tmp_path, capsys, cmd):
+    before = gc.isenabled()
+    counts = []
+    gc.disable()   # so that only gc.collect() frees what the command left
+    try:
+        for reps in (1, 1, 4):   # the first call warms up what is made once per process
+            gc.collect()
+            main([cmd, "--reps", str(reps), "--out", str(tmp_path / f"out{len(counts)}")])
+            counts.append(gc.collect())
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert counts[1] == counts[2] > 0
 
 
 @pytest.mark.parametrize("pct", [150, -1])

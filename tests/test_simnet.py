@@ -327,6 +327,11 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             ScenarioSpec(kind=ScenarioKind.NORMAL, duration_ms=100, seed=1)
 
+    def test_background_must_be_a_spec(self):
+        # A dict used to reach the engine: AttributeError: 'dict' object has no attribute 'tick_ms'.
+        with pytest.raises(TypeError, match="^background must be a TruncatedPoissonSpec, got dict$"):
+            ScenarioSpec(kind=ScenarioKind.NORMAL, duration_ms=1000, background={"lam": 2.0})
+
     def test_preconnected_beyond_capacity_rejected(self):
         with pytest.raises(ScenarioError):
             run(attack(preconnected=17), GnbConfig(capacity=16))
