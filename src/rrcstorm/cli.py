@@ -237,8 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "table1": _cmd_table1,
                 "latency": _cmd_latency, "replay": _cmd_replay}
     # The cyclic collector is paused while the command runs: every retained event holds
-    # an enum member, so each pass walks the whole trace again, and a command leaves no
-    # cycles per repetition to free. The caller's setting comes back on every exit.
+    # an enum member, so the collector tracks it and each older-generation pass walks the
+    # whole trace again, while a command leaves no cycles per repetition to free. The
+    # caller's setting comes back on every exit.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -907,20 +907,6 @@ class TestChunkedWrites:
             write(records(), tmp_path / "out.jsonl")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("existing,kept", [(None, []), ("a", ["a"]), ("a/b", ["a", "a/b"])],
-                             ids=["none", "a", "a-b"])
-    def test_failure_removes_only_the_directories_it_made(self, tmp_path, existing, kept):
-        if existing:
-            (tmp_path / existing).mkdir(parents=True)
-
-        def records():
-            yield msg1(0)
-            raise RuntimeError("source failed")
-
-        with pytest.raises(RuntimeError, match="source failed"):
-            write_trace(records(), tmp_path / "a" / "b" / "c" / "out.jsonl")
-        assert sorted(tmp_path.rglob("*")) == [tmp_path / k for k in kept]
-
     def test_failure_keeps_a_directory_it_made_once_another_file_is_in_it(self, tmp_path):
         other = tmp_path / "a" / "other"
 
