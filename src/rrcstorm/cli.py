@@ -93,7 +93,7 @@ def _resolve(args: argparse.Namespace, seed: int,
         gnb, detector, where = presets.default_gnb(), presets.default_detector(), ""
     else:
         path = Path(args.scenario)
-        if not path.exists():
+        if path.is_dir() or not path.exists():   # Path("") is "."
             raise ValueError(
                 f"unknown scenario {args.scenario!r}: not a preset "
                 f"({', '.join(presets.PRESET_NAMES)}) and no such file")

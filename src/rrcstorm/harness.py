@@ -209,14 +209,20 @@ def latency_campaign(config: ExperimentConfig,
         margin = None
         if latency is not None and result.drop_time_ms is not None:
             margin = result.drop_time_ms - latency
+        n_attack = n_highload = 0
+        for v in verdicts:
+            if v.state is _ATTACK:
+                n_attack += 1
+            elif v.state is _HIGH_LOAD:
+                n_highload += 1
         rows.append(LatencyRow(
             seed=seed,
             onset_ms=onset,
             drop_time_ms=result.drop_time_ms,
             latency_ms=latency,
             margin_ms=margin,
-            attack_verdicts=sum(1 for v in verdicts if v.state is _ATTACK),
-            highload_verdicts=sum(1 for v in verdicts if v.state is _HIGH_LOAD),
+            attack_verdicts=n_attack,
+            highload_verdicts=n_highload,
         ))
     detected = [r.latency_ms for r in rows if r.latency_ms is not None]
     margins = [r.margin_ms for r in rows if r.margin_ms is not None]

@@ -396,10 +396,11 @@ class _Engine:
             self.now = t
             fn(*args)
 
-        violation = validate_stream(self.trace)
-        if violation is not None:
-            raise AssertionError(f"engine produced an invalid trace: {violation}")
-        return summarize_trace(self.trace, self.gnb.waiting_time_ms)
+        valid, result = _summarize(self.trace, self.gnb.waiting_time_ms)
+        if not valid:   # validate_stream words the fault
+            raise AssertionError(
+                f"engine produced an invalid trace: {validate_stream(self.trace)}")
+        return result
 
 
 def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
@@ -410,34 +411,49 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
     "First" means first in trace order; the first-period counts take every Msg3
     and reject timed before first_msg3 + waiting_time_ms, wherever it sits.
     """
+    return _summarize(trace, waiting_time_ms)[1]
+
+
+def _summarize(trace: list[RrcEvent], waiting_time_ms: int) -> tuple[bool, SimResult]:
+    """(validate_stream(trace) is None, summarize_trace(trace, waiting_time_ms)) in one
+    pass that reads each event's t, kind and cause once: the trace is valid unless a
+    timestamp is below the one before (below 0 for the first), or a cause is missing
+    on a Msg3 or present on another kind."""
     n_msg3 = n_rejected = msg3_fp = rej_fp = 0
     first_msg3 = first_reject = first_release = end = None
     rejects_before_msg3: list[int] = []     # their first-period share needs end
     releases_before_reject: list[int] = []  # one of them may follow first_reject in time
-    for e in trace:
-        kind = e.kind
+    valid, prev_t = True, 0
+    for t, kind, _, cause in trace:
+        if t < prev_t:
+            valid = False
+        prev_t = t
         if kind is _MSG3:
+            if cause is None:
+                valid = False
             n_msg3 += 1
             if end is None:
-                first_msg3 = e.t
-                end = first_msg3 + waiting_time_ms
-            if e.t < end:
+                first_msg3 = t
+                end = t + waiting_time_ms
+            if t < end:
                 msg3_fp += 1
-        elif kind is _MSG3_REJECTED:
+            continue
+        if cause is not None:
+            valid = False
+        if kind is _MSG3_REJECTED:
             n_rejected += 1
             if first_reject is None:
-                first_reject = e.t
-                first_release = next((t for t in releases_before_reject if t > first_reject),
-                                     None)
+                first_reject = t
+                first_release = next((r for r in releases_before_reject if r > t), None)
             if end is None:
-                rejects_before_msg3.append(e.t)
-            elif e.t < end:
+                rejects_before_msg3.append(t)
+            elif t < end:
                 rej_fp += 1
         elif kind is _CONTEXT_RELEASED:
             if first_reject is None:
-                releases_before_reject.append(e.t)
-            elif first_release is None and e.t > first_reject:
-                first_release = e.t
+                releases_before_reject.append(t)
+            elif first_release is None and t > first_reject:
+                first_release = t
 
     drop = duration_reject = None
     if first_msg3 is not None and first_reject is not None:
@@ -453,7 +469,7 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
     if acc_fp + rej_fp > 0:
         avail_fp = 100.0 * acc_fp / (acc_fp + rej_fp)
 
-    return SimResult(
+    return valid, SimResult(
         trace=trace,
         accepted_msg3=n_msg3 - n_rejected,
         rejected_msg3=n_rejected,

@@ -34,6 +34,7 @@ from rrcstorm.harness import (
     table1_theoretical_row,
 )
 from rrcstorm.presets import (
+    PRESET_NAMES,
     attack_scenario,
     default_detector,
     default_gnb,
@@ -526,10 +527,30 @@ def test_one_fault_has_one_wording(tmp_path, reader, fault):
     assert str(excinfo.value) == (f"{path}: " if reader == "config" else "line 1: ") + reason
 
 
-def run_cli(argv):
-    """`python -m rrcstorm.cli argv` in a child process, stopped after 60 s."""
+def run_cli(argv, stdin=None):
+    """`python -m rrcstorm.cli argv` in a child process, fed the text stdin if given,
+    stopped after 60 s."""
     return subprocess.run([sys.executable, "-m", "rrcstorm.cli", *argv], capture_output=True,
-                          text=True, env=child_env(), timeout=60)
+                          text=True, env=child_env(), timeout=60, input=stdin)
+
+
+# Path("") is ".": an empty --scenario names a directory, and no directory is a config.
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+def test_scenario_that_is_no_file_is_one_error_line(tmp_path, kind):
+    scenario = "" if kind == "empty" else str(tmp_path)
+    proc = run_cli(["run", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stderr) == (2, (
+        f"error: unknown scenario {scenario!r}: not a preset "
+        f"({', '.join(PRESET_NAMES)}) and no such file\n"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_read_from_stdin(tmp_path):
+    proc = run_cli(["run", "--scenario", "/dev/stdin", "--out", str(tmp_path)],
+                   stdin=json.dumps({"scenario": GOOD_SCENARIO}))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "stdin-metrics.csv", "stdin-seed1.rrctrace.jsonl", "stdin-seed1.verdicts.jsonl"]
 
 
 # Past the spec checks, each of these configs would hang or crash the engine, so the

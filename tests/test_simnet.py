@@ -13,6 +13,7 @@ from rrcstorm import (
     EstablishmentCause,
     GnbConfig,
     MsgKind,
+    RrcEvent,
     ScenarioError,
     ScenarioKind,
     ScenarioSpec,
@@ -381,11 +382,15 @@ class TestValidation:
         assert all(0 <= truncated_poisson_sample(spec, rng) <= k_max for _ in range(20))
 
 
+# run() checks and summarizes a trace in one pass, simnet._summarize: it must agree
+# with both oracles, validate_stream and the multi-pass reference summary.
 @settings(deadline=None, max_examples=300)
 @given(any_order_traces(), st.integers(1, 400))
 def test_summarize_trace_equals_reference(trace, waiting_time_ms):
-    assert summarize_trace(trace, waiting_time_ms) == reference_summarize_trace(
-        trace, waiting_time_ms)
+    expected = reference_summarize_trace(trace, waiting_time_ms)
+    assert summarize_trace(trace, waiting_time_ms) == expected
+    assert simnet._summarize(trace, waiting_time_ms) == (validate_stream(trace) is None,
+                                                         expected)
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -393,6 +398,40 @@ def test_summarize_engine_trace_equals_reference(preset):
     gnb = default_gnb()
     result = run(scenario_from_preset(preset, 3), gnb)
     assert result == reference_summarize_trace(result.trace, gnb.waiting_time_ms)
+    assert simnet._summarize(result.trace, gnb.waiting_time_ms) == (True, result)
+
+
+def _bad_event_after(monkeypatch, step, bad_event):
+    """Patch the engine step so that each call appends bad_event(engine, *args) after
+    its own events; return the list that gets the trace index of each one appended."""
+    appended = []
+    original = getattr(simnet._Engine, step)
+
+    def patched(engine, *args):
+        original(engine, *args)
+        appended.append(len(engine.trace))
+        engine.trace.append(bad_event(engine, *args))
+
+    monkeypatch.setattr(simnet._Engine, step, patched)
+    return appended
+
+
+def test_run_refuses_an_engine_trace_whose_time_regresses(monkeypatch):
+    appended = _bad_event_after(monkeypatch, "_release", lambda engine, ue_ref: RrcEvent(
+        engine.now - 1, MsgKind.MSG5, ue_ref))
+    with pytest.raises(AssertionError) as excinfo:
+        run(attack(), GnbConfig())
+    assert str(excinfo.value) == (f"engine produced an invalid trace: event {appended[0]}: "
+                                  "timestamp regression 2700 -> 2699")
+
+
+def test_run_refuses_an_engine_msg4_with_a_cause(monkeypatch):
+    appended = _bad_event_after(monkeypatch, "_gnb_msg4", lambda engine, ue_ref, benign: RrcEvent(
+        engine.now, MsgKind.MSG4, ue_ref, EstablishmentCause.MO_DATA))
+    with pytest.raises(AssertionError) as excinfo:
+        run(attack(), GnbConfig())
+    assert str(excinfo.value) == (f"engine produced an invalid trace: event {appended[0]}: "
+                                  "cause not allowed on msg4")
 
 
 @st.composite
