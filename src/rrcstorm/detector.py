@@ -33,10 +33,10 @@ class GnbState(str, Enum):
 
 
 # Members bound once: a module global reads ~10x faster than GnbState.NORMAL in
-# the per-hop and per-event code below.
+# the per-hop and per-event code below. _COUNTED: the kinds the detector reads.
 _NORMAL, _ATTACK, _HIGH_LOAD, _OVERLOAD = (GnbState.NORMAL, GnbState.ATTACK,
                                            GnbState.HIGH_LOAD, GnbState.OVERLOAD)
-_MSG3, _MSG4, _MSG5 = MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5
+_MSG3, _MSG4, _MSG5 = _COUNTED = MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5
 _new = tuple.__new__   # what a NamedTuple(...) call does, minus the frame of its __new__
 
 

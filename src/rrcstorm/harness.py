@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic, presets, telemetry
 from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS, WAITING_TIME_NOMINAL_MS
-from .detector import (DetectionVerdict, DetectorConfig, GnbState, detection_latency,
-                       iter_verdicts, run_stream)
+from .detector import (_COUNTED, DetectionVerdict, DetectorConfig, GnbState,
+                       detection_latency, iter_verdicts, run_stream)
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, SimResult, run
 
 _ATTACK, _HIGH_LOAD = GnbState.ATTACK, GnbState.HIGH_LOAD   # bound once, read per verdict
@@ -291,8 +291,9 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
 
 
 def cmd_replay(trace_path: Path, detector: DetectorConfig, out_path: Path) -> int:
-    """Stream a recorded trace through the detector to a verdict file; returns the count."""
+    """Stream a recorded trace through the detector to a verdict file; returns the count.
+    Every line of the trace is checked; only the kinds the detector counts are built."""
     if out_path.exists() and out_path.samefile(trace_path):
         raise ValueError(f"verdict file {out_path} is the trace being replayed")
     return telemetry.write_verdicts(
-        iter_verdicts(telemetry.iter_trace(trace_path), detector), out_path)
+        iter_verdicts(telemetry.iter_trace(trace_path, kinds=_COUNTED), detector), out_path)

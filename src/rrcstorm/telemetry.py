@@ -14,7 +14,7 @@ import os
 import re
 from contextlib import suppress
 from io import BytesIO, TextIOBase
-from itertools import islice, repeat, takewhile
+from itertools import compress, islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from pathlib import Path
@@ -231,20 +231,34 @@ def _parse_trace_record(line_no: int, line: str, prev_t: int) -> RrcEvent:
     return RrcEvent(t, kind, ue, cause)
 
 
-def _strict_lines(text: str, line_no: int, prev_t: int) -> Generator[RrcEvent, None, int]:
+def _strict_lines(text: str, line_no: int, prev_t: int,
+                  wanted: Optional[set]) -> Generator[RrcEvent, None, int]:
     """The LF-terminated lines of text through the strict parser, the first being
-    line line_no + 1; returns the last timestamp."""
+    line line_no + 1, yielding those of a kind whose text is in wanted (all if None);
+    returns the last timestamp."""
     for line_no, line in enumerate(text.split("\n")[:-1], line_no + 1):
         event = _parse_trace_record(line_no, line, prev_t)
         prev_t = event.t
-        yield event
+        if wanted is None or _TEXT[event.kind] in wanted:
+            yield event
     return prev_t
 
 
-def iter_trace(source: Source) -> Iterator[RrcEvent]:
+def iter_trace(source: Source, *, kinds: Iterable[MsgKind] = tuple(MsgKind)
+               ) -> Iterator[RrcEvent]:
     """Parse a trace a block at a time, errors in file order; round-trips write_trace.
-    A block of canonical lines in order is built by column, any other by _strict_lines."""
-    findall, kinds, causes = _TRACE_LINE.findall, _KINDS.__getitem__, _CAUSES.get
+    Every line is checked, but only events of the given kinds are built and yielded;
+    TypeError for a kind that is not a MsgKind. A block of canonical lines in order is
+    built by column, any other by _strict_lines."""
+    if isinstance(kinds, str):   # a lone MsgKind is one, and would give its characters
+        raise TypeError(f"kinds must hold MsgKind members, got {kinds!r}")
+    wanted = set()
+    for kind in kinds:
+        if type(kind) is not MsgKind:
+            raise TypeError(f"kinds must hold MsgKind members, got {kind!r}")
+        wanted.add(_TEXT[kind])
+    wanted = None if len(wanted) == len(_KINDS) else wanted
+    findall, members, causes = _TRACE_LINE.findall, _KINDS.__getitem__, _CAUSES.get
     prev_t = line_no = 0   # line_no: the lines before the block
     try:
         for block in _blocks(source):
@@ -253,11 +267,14 @@ def iter_trace(source: Source) -> Iterator[RrcEvent]:
                 t, kind, _, ue, cause = zip(*rows)
                 t = list(map(int, t))
                 if prev_t <= t[0] and t == sorted(t):
-                    yield from map(tuple.__new__, repeat(RrcEvent),
-                                   zip(t, map(kinds, kind), ue, map(causes, cause)))
                     prev_t, line_no = t[-1], line_no + lines
+                    if wanted is not None:   # the wanted rows of each column
+                        keep = list(map(wanted.__contains__, kind))
+                        t, kind, ue, cause = map(compress, (t, kind, ue, cause), repeat(keep))
+                    yield from map(tuple.__new__, repeat(RrcEvent),
+                                   zip(t, map(members, kind), ue, map(causes, cause)))
                     continue
-            prev_t = yield from _strict_lines(block, line_no, prev_t)
+            prev_t = yield from _strict_lines(block, line_no, prev_t, wanted)
             line_no += lines
     except UnicodeDecodeError as exc:   # raised on getting line line_no + 1
         raise TraceParseError(line_no + 1, f"not UTF-8: {exc}") from None

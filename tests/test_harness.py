@@ -41,6 +41,7 @@ from rrcstorm.presets import (
     highload_scenario,
     normal_scenario,
     occupied_contexts,
+    scenario_from_preset,
 )
 from rrcstorm.telemetry import _CHUNK_LINES
 
@@ -167,7 +168,7 @@ class TestReplay:
         config = experiment(attack_scenario(0, seed=0, duration_ms=2500),
                             seeds=[5], out_dir=tmp_path)
         artifacts = cmd_run(config)
-        replayed_path = tmp_path / "replbasey.verdicts.jsonl"
+        replayed_path = tmp_path / "replayed.verdicts.jsonl"
         cmd_replay(artifacts.trace_paths[0], default_detector(), replayed_path)
         assert replayed_path.read_bytes() == artifacts.verdict_paths[0].read_bytes()
 
@@ -797,3 +798,48 @@ def test_replay_of_hostile_trace_is_one_error_line(tmp_path, capsys, content, me
     assert main(["replay", str(trace)]) == 2
     assert capsys.readouterr().err == message
     assert not (tmp_path / "t.verdicts.jsonl").exists()
+
+
+GOLDEN_TRACE = Path(__file__).resolve().parent / "data" / "golden-attack.rrctrace.jsonl"
+
+
+def trace_lines(base):
+    """The lines of the golden attack trace, or of paper-attack-0 at seed 1."""
+    if base == "golden":
+        return GOLDEN_TRACE.read_bytes().splitlines(keepends=True)
+    buf = io.StringIO()
+    write_trace(run(scenario_from_preset("paper-attack-0", 1), default_gnb()).trace, buf)
+    return buf.getvalue().encode().splitlines(keepends=True)
+
+
+# replay builds only Msg3/Msg4/Msg5 events, yet a fault on any other line stops it as
+# it stops a full read_trace: the same error line, and no verdict file.
+@pytest.mark.parametrize("base,line_no,old,new,message", [
+    ("golden", 5, b'"t":25,', b'"t":0,', "timestamp regression 1 -> 0"),
+    ("golden", 129, b'"}', b'","stray":1}', "unknown keys ['stray']"),
+    ("golden", 2, b'"ue":"m', b'"ue":"\xff',
+     "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
+    ("paper-attack-0", 161, b'"t":1337,', b'"t":1328,',
+     "timestamp regression 1329 -> 1328"),
+], ids=["msg1-regression", "context-released-stray-key", "msg2-not-utf8",
+        "block-2-first-line-msg1-regression"])
+def test_replay_refuses_a_fault_on_a_line_it_does_not_count(tmp_path, capsys, base, line_no,
+                                                            old, new, message):
+    lines = trace_lines(base)
+    assert json.loads(lines[line_no - 1])["kind"] not in ("msg3", "msg4", "msg5")
+    assert old in lines[line_no - 1]
+    lines[line_no - 1] = lines[line_no - 1].replace(old, new, 1)
+    trace = tmp_path / "t.rrctrace.jsonl"
+    trace.write_bytes(b"".join(lines))
+    with pytest.raises(TraceParseError, match=f"^line {line_no}: "):
+        read_trace(trace)
+    out = tmp_path / "t.verdicts.jsonl"
+    assert main(["replay", str(trace), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line {line_no}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.rrctrace.jsonl"]
+
+
+def test_line_161_of_paper_attack_0_starts_the_second_block():
+    """The last case above faults the first line of the reader's second block."""
+    lines = trace_lines("paper-attack-0")
+    assert len(b"".join(lines[:159])) < telemetry._BLOCK_SIZE <= len(b"".join(lines[:160]))

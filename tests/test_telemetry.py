@@ -19,6 +19,8 @@ from rrcstorm import (
     MsgKind,
     RrcEvent,
     TraceParseError,
+    iter_trace,
+    iter_verdicts,
     read_trace,
     read_verdicts,
     run_stream,
@@ -595,13 +597,64 @@ def small_blocks(block_size):
     return patch.object(telemetry, "_BLOCK_SIZE", block_size)
 
 
+SOURCES = {"text": io.StringIO, "bytes": lambda s: io.BytesIO(s.encode())}
+COUNTED = frozenset({MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5})
+
+
 @settings(deadline=None)
-@given(mutated_traces(), st.integers(1, 80))
-def test_read_trace_agrees_with_strict_parser_in_small_blocks(text, block_size):
-    expected = outcome(reference_read_trace, text)
+@given(mutated_traces(), st.integers(1, 80), st.frozensets(st.sampled_from(MsgKind)),
+       st.integers(1, 12).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))))
+def test_read_trace_agrees_with_strict_parser_in_small_blocks(text, block_size, kinds,
+                                                              window_and_hop):
+    """Whatever kinds are wanted, every line is checked: the strict parser's error, line
+    number and reason, or its events of those kinds; so the detector gives the full
+    read's verdicts over any kinds that hold the three it counts."""
+    window_ms, hop_ms = window_and_hop
+    config = DetectorConfig(window_ms=window_ms, hop_ms=hop_ms, msg3_watermark=1)
+    expected = events = verdicts = outcome(reference_read_trace, text)
+    if isinstance(expected, list):
+        events = [e for e in expected if e.kind in kinds]
+        verdicts = run_stream(expected, config)
     with small_blocks(block_size):
-        assert outcome(lambda s: read_trace(io.StringIO(s)), text) == expected
-        assert outcome(lambda s: read_trace(io.BytesIO(s.encode())), text) == expected
+        for source in SOURCES.values():
+            assert outcome(lambda s: read_trace(source(s)), text) == expected
+            assert outcome(lambda s: list(iter_trace(source(s), kinds=kinds)),
+                           text) == events
+            assert outcome(lambda s: list(iter_verdicts(
+                iter_trace(source(s), kinds=kinds | COUNTED), config)), text) == verdicts
+
+
+class TestKinds:
+    GOOD = "".join(json_trace_line(e) + "\n" for e in [
+        RrcEvent(0, MsgKind.MSG1, "a"),
+        RrcEvent(0, MsgKind.MSG3, "a", EstablishmentCause.EMERGENCY),
+        RrcEvent(1, MsgKind.MSG4, "a"), RrcEvent(2, MsgKind.MSG5, "a")])
+
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES)
+    def test_no_kinds_still_checks_every_line(self, source):
+        assert list(iter_trace(source(self.GOOD), kinds=())) == []
+        bad = self.GOOD + '{"t":1,"kind":"msg1","ue":"a"}\n'
+        with pytest.raises(TraceParseError) as exc:
+            list(iter_trace(source(bad), kinds=()))
+        assert str(exc.value) == "line 5: timestamp regression 2 -> 1"
+
+    @pytest.mark.parametrize("kinds", [COUNTED, ()], ids=["counted", "none"])
+    def test_regression_below_a_dropped_line_of_the_block_before(self, kinds):
+        # Two lines a block: block 1 ends on a dropped msg1 at t=5, line 3 regressed.
+        text = "".join(f'{{"t":{t},"kind":"{kind}","ue":"a"}}\n'
+                       for t, kind in [(1, "msg4"), (5, "msg1"), (3, "msg1")])
+        with small_blocks(2 * (text.index("\n") + 1)), pytest.raises(TraceParseError) as exc:
+            list(iter_trace(io.StringIO(text), kinds=kinds))
+        assert str(exc.value) == "line 3: timestamp regression 5 -> 3"
+
+    @pytest.mark.parametrize("kinds,named", [
+        (["msg3"], "'msg3'"), ((MsgKind.MSG3, None), "None"),
+        ((GnbState.ATTACK,), "<GnbState.ATTACK: 'attack'>"),
+        (MsgKind.MSG3, "<MsgKind.MSG3: 'msg3'>"), ("msg3", "'msg3'")])
+    def test_a_kind_that_is_not_a_msg_kind_is_a_type_error(self, kinds, named):
+        with pytest.raises(TypeError) as exc:
+            list(iter_trace(io.StringIO(self.GOOD), kinds=kinds))
+        assert str(exc.value) == f"kinds must hold MsgKind members, got {named}"
 
 
 json_values = st.recursive(
