@@ -43,21 +43,13 @@ class AnalyticInputs:
     benign_rate_per_s: float = 0.0
     connected_ues: int = 0
 
+    _POSITIVE = ("waiting_time_ms", "capacity", "attack_rate_per_s")
+    _NON_NEGATIVE = ("benign_rate_per_s", "connected_ues")
+
     def __post_init__(self) -> None:
         _check_types(self)
-        wait = self.waiting_time_ms
-        if not 0 < wait < math.inf:
-            raise ValueError(f"waiting_time_ms must be finite and > 0, got {wait}")
-        capacity, connected = self.capacity, self.connected_ues
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0 <= connected <= capacity:
-            raise ValueError(f"connected_ues must be in [0, {capacity}], got {connected}")
-        attack, benign = self.attack_rate_per_s, self.benign_rate_per_s
-        if not 0 < attack < math.inf:
-            raise ValueError(f"attack_rate_per_s must be finite and > 0, got {attack}")
-        if not 0 <= benign < math.inf:
-            raise ValueError(f"benign_rate_per_s must be finite and >= 0, got {benign}")
+        if (connected := self.connected_ues) > (capacity := self.capacity):
+            raise ValueError(f"connected_ues must be <= capacity ({capacity}), got {connected}")
 
 
 @dataclass(frozen=True)

@@ -48,16 +48,16 @@ class DetectorConfig:
     r2_threshold: float = 0.5
     msg3_watermark: int = 8          # per-window Msg3 count above which traffic is abnormal
 
+    _POSITIVE = ("window_ms", "hop_ms", "r1_threshold", "r2_threshold", "msg3_watermark")
+    _NON_NEGATIVE = ()
+
     def __post_init__(self) -> None:
         _check_types(self)
-        if not 0 < self.hop_ms <= self.window_ms:
-            raise ValueError("hop_ms must be in (0, window_ms]")
+        if self.hop_ms > self.window_ms:
+            raise ValueError(f"hop_ms must be <= window_ms ({self.window_ms}), got {self.hop_ms}")
         for name in ("r1_threshold", "r2_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1)")
-        if self.msg3_watermark < 1:
-            raise ValueError("msg3_watermark must be >= 1")
+            if (value := getattr(self, name)) >= 1:
+                raise ValueError(f"{name} must be < 1, got {value!r}")
 
 
 class DetectionVerdict(NamedTuple):

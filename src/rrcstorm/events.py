@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
@@ -29,10 +30,11 @@ class EstablishmentCause(str, Enum):
 _MSG3 = MsgKind.MSG3   # bound once for the per-event checks
 
 
-def _check_types(config: object) -> None:
-    """TypeError unless each int or Optional[int] field of a config dataclass holds an int
-    (a float would give float timestamps, a bool count as a context), each float one an int
-    or a float but no bool, and None is only in an Optional one (f.type is the annotation)."""
+def _check_types(config: object, error: type[Exception] = ValueError) -> None:
+    """TypeError unless an int or Optional[int] field of a config dataclass holds an int (a
+    float would give float timestamps, a bool count as a context), a float one an int or a
+    float but no bool, and None is only in an Optional one (f.type is the annotation); error
+    unless a float is finite, a field in the class's _POSITIVE > 0, one in _NON_NEGATIVE >= 0."""
     for f in dataclasses.fields(config):
         value, base = getattr(config, f.name), f.type.removeprefix("Optional[").rstrip("]")
         if value is None and base != f.type:
@@ -41,6 +43,12 @@ def _check_types(config: object) -> None:
             raise TypeError(f"{f.name} must be an integer, got {value!r}")
         if base == "float" and type(value) not in (int, float):
             raise TypeError(f"{f.name} must be a number, got {value!r}")
+        if base == "float" and not -math.inf < value < math.inf:
+            raise error(f"{f.name} must be finite, got {value!r}")
+        if f.name in config._POSITIVE and not value > 0:
+            raise error(f"{f.name} must be > 0, got {value!r}")
+        if f.name in config._NON_NEGATIVE and not value >= 0:
+            raise error(f"{f.name} must be >= 0, got {value!r}")
 
 
 class RrcEvent(NamedTuple):

@@ -50,18 +50,11 @@ class GnbConfig:
     max_msg1_per_frame: int = 1
     msg3_to_msg4_delay_ms: int = 1
 
+    _POSITIVE = ("capacity", "waiting_time_ms", "frame_ms", "max_msg1_per_frame")
+    _NON_NEGATIVE = ("msg3_to_msg4_delay_ms",)
+
     def __post_init__(self) -> None:
-        _check_types(self)
-        if self.capacity < 1:
-            raise ScenarioError("capacity must be >= 1")
-        if self.waiting_time_ms <= 0:
-            raise ScenarioError("waiting_time_ms must be > 0")
-        if self.frame_ms < 1:
-            raise ScenarioError("frame_ms must be >= 1")
-        if self.max_msg1_per_frame < 1:
-            raise ScenarioError("max_msg1_per_frame must be >= 1")
-        if self.msg3_to_msg4_delay_ms < 0:
-            raise ScenarioError("msg3_to_msg4_delay_ms must be >= 0")
+        _check_types(self, ScenarioError)
 
     @property
     def max_msg1_rate_per_s(self) -> float:
@@ -80,14 +73,10 @@ class TruncatedPoissonSpec:
     k_max: int = 3
     tick_ms: int = 100
 
+    _POSITIVE, _NON_NEGATIVE = ("tick_ms",), ("lam", "k_max")
+
     def __post_init__(self) -> None:
-        _check_types(self)
-        if not 0 <= self.lam < math.inf:
-            raise ScenarioError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.k_max < 0:
-            raise ScenarioError("k_max must be >= 0")
-        if self.tick_ms < 1:
-            raise ScenarioError("tick_ms must be >= 1")
+        _check_types(self, ScenarioError)
         # P(k <= k_max) for k ~ Poisson(lam), summed only as far as the floor needs:
         # truncated_poisson_sample makes 1/p draws on average, so a small p hangs it.
         term = p = math.exp(-self.lam)
@@ -155,8 +144,12 @@ class ScenarioSpec:
     benign_hold_ms: Optional[int] = None
     attacker_cause: EstablishmentCause = EstablishmentCause.EMERGENCY
 
+    _POSITIVE = ("duration_ms", "t300_ms")
+    _NON_NEGATIVE = ("preconnected_bue", "msg4_to_msg5_delay_ms", "onset_ms", "onset_jitter_ms",
+                     "max_retries", "benign_hold_ms")
+
     def __post_init__(self) -> None:
-        _check_types(self)
+        _check_types(self, ScenarioError)
         for name, enum in (("kind", ScenarioKind), ("attacker_cause", EstablishmentCause)):
             value = getattr(self, name)
             if not isinstance(value, enum):
@@ -164,28 +157,13 @@ class ScenarioSpec:
         if not isinstance(self.background, (TruncatedPoissonSpec, type(None))):
             raise TypeError(f"background must be a TruncatedPoissonSpec, "
                             f"got {type(self.background).__name__}")
-        if self.duration_ms <= 0:
-            raise ScenarioError("duration_ms must be > 0")
-        if self.preconnected_bue < 0:
-            raise ScenarioError("preconnected_bue must be >= 0")
-        for name in ("attacker_rate_per_s", "benign_fleet_rate_per_s"):
+        for kind, name in ((ScenarioKind.ATTACK, "attacker_rate_per_s"),
+                           (ScenarioKind.HIGH_LOAD, "benign_fleet_rate_per_s")):
             rate = getattr(self, name)
-            if rate is not None and not math.isfinite(rate):
-                raise ScenarioError(f"{name} must be finite, got {rate}")
-        if self.kind is ScenarioKind.ATTACK:
-            if self.attacker_rate_per_s is None or self.attacker_rate_per_s <= 0:
-                raise ScenarioError("attack scenario needs attacker_rate_per_s > 0")
-        if self.kind is ScenarioKind.HIGH_LOAD:
-            if self.benign_fleet_rate_per_s is None or self.benign_fleet_rate_per_s <= 0:
-                raise ScenarioError("high-load scenario needs benign_fleet_rate_per_s > 0")
+            if self.kind is kind and (rate is None or rate <= 0):
+                raise ScenarioError(f"{kind.value} scenario needs {name} > 0, got {rate!r}")
         if self.kind is ScenarioKind.NORMAL and self.background is None:
             raise ScenarioError("normal scenario needs a background spec")
-        if self.onset_ms < 0 or self.onset_jitter_ms < 0:
-            raise ScenarioError("onset must be >= 0")
-        if self.t300_ms < 1:
-            raise ScenarioError("t300_ms must be >= 1")
-        if self.max_retries < 0:
-            raise ScenarioError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -212,8 +190,8 @@ class SimResult:
 
 def _check_fits(scenario: ScenarioSpec, gnb: GnbConfig) -> None:
     """ScenarioError unless the gNB can run the scenario: the checks that need both."""
-    if scenario.preconnected_bue > gnb.capacity:
-        raise ScenarioError("preconnected_bue exceeds gNB capacity")
+    if (held := scenario.preconnected_bue) > gnb.capacity:
+        raise ScenarioError(f"preconnected_bue ({held}) exceeds gNB capacity ({gnb.capacity})")
     if scenario.t300_ms < gnb.msg3_to_msg4_delay_ms:
         raise ScenarioError(f"t300_ms ({scenario.t300_ms}) must be >= "
                             f"msg3_to_msg4_delay_ms ({gnb.msg3_to_msg4_delay_ms})")

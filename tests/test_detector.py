@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -259,19 +260,25 @@ class TestDetectionLatency:
 
 class TestConfigValidation:
     def test_threshold_must_stay_below_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^r1_threshold must be < 1, got 1\.0$"):
             DetectorConfig(r1_threshold=1.0)
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^r2_threshold must be > 0, got 0\.0$"):
             DetectorConfig(r2_threshold=0.0)
 
+    @pytest.mark.parametrize("name", ["r1_threshold", "r2_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            DetectorConfig(**{name: value})
+
     def test_hop_cannot_exceed_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^hop_ms must be <= window_ms \(100\), got 200$"):
             DetectorConfig(window_ms=100, hop_ms=200)
 
     def test_watermark_at_least_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^msg3_watermark must be > 0, got 0$"):
             DetectorConfig(msg3_watermark=0)
 
 

@@ -354,14 +354,16 @@ class TestValidation:
             run(attack(duration_ms=100, onset_ms=200), GnbConfig())
 
     @pytest.mark.parametrize("field", ["attacker_rate_per_s", "benign_fleet_rate_per_s"])
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_rate_must_be_finite(self, field, rate):
-        with pytest.raises(ScenarioError, match=f"{field} must be finite, got {rate}"):
+        with pytest.raises(ScenarioError, match=f"^{field} must be finite, got {rate!r}$"):
             dataclasses.replace(attack(), **{field: rate})
 
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
-    def test_lam_must_be_finite_and_non_negative(self, lam):
-        with pytest.raises(ScenarioError, match=f"lam must be finite and >= 0, got {lam}"):
+    @pytest.mark.parametrize("lam,words", [
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (-1.0, ">= 0"),
+        (-1, ">= 0")], ids=["nan", "inf", "-inf", "-1.0", "-1"])
+    def test_lam_must_be_finite_and_non_negative(self, lam, words):
+        with pytest.raises(ScenarioError, match=f"^lam must be {words}, got {lam!r}$"):
             TruncatedPoissonSpec(lam=lam)
 
     def test_k_max_nan_rejected(self):
@@ -577,3 +579,87 @@ def test_float_field_must_be_a_number(config, field, bad):
     with pytest.raises(TypeError) as excinfo:
         dataclasses.replace(config, **{field: bad})
     assert str(excinfo.value) == f"{field} must be a number, got {bad!r}"
+
+
+# The number fields whose sign no bound checks: any seed runs, and a scenario rate is
+# checked by the kind that reads it. Every other int or float field is in its class's
+# _POSITIVE or _NON_NEGATIVE.
+FREE_FIELDS = {"seed", "attacker_rate_per_s", "benign_fleet_rate_per_s"}
+CONFIGS = [attack(), GnbConfig(), TruncatedPoissonSpec(), DetectorConfig(), ANALYTIC]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[type(c).__name__ for c in CONFIGS])
+def test_every_number_field_is_bounded_or_free(config):
+    fields = dataclasses.fields(config)
+    assert {*config._POSITIVE, *config._NON_NEGATIVE} <= {f.name for f in fields}
+    lists = (config._POSITIVE, config._NON_NEGATIVE, FREE_FIELDS)
+    for f in fields:
+        if f.type.removeprefix("Optional[").rstrip("]") in ("int", "float"):
+            assert sum(f.name in names for names in lists) == 1, f.name
+
+
+# Each bounded field at its first refused value: 0 for a > 0 field, -1 for a >= 0 one.
+FIRST_REFUSED = [
+    *((GnbConfig(), f, 0) for f in ("capacity", "waiting_time_ms", "frame_ms",
+                                    "max_msg1_per_frame")),
+    (GnbConfig(), "msg3_to_msg4_delay_ms", -1),
+    (TruncatedPoissonSpec(), "tick_ms", 0),
+    *((TruncatedPoissonSpec(), f, -1) for f in ("lam", "k_max")),
+    *((attack(), f, 0) for f in ("duration_ms", "t300_ms")),
+    *((attack(), f, -1) for f in ("preconnected_bue", "msg4_to_msg5_delay_ms", "onset_ms",
+                                  "onset_jitter_ms", "max_retries", "benign_hold_ms")),
+    *((DetectorConfig(), f, 0) for f in ("window_ms", "hop_ms", "msg3_watermark")),
+    *((DetectorConfig(), f, 0.0) for f in ("r1_threshold", "r2_threshold")),
+    *((ANALYTIC, f, 0) for f in ("waiting_time_ms", "capacity", "attack_rate_per_s")),
+    *((ANALYTIC, f, -1) for f in ("benign_rate_per_s", "connected_ues")),
+]
+SIMNET_CONFIGS = (GnbConfig, TruncatedPoissonSpec, ScenarioSpec)
+
+
+@pytest.mark.parametrize("config,field,bad", FIRST_REFUSED,
+                         ids=[f"{type(c).__name__}.{f}" for c, f, _ in FIRST_REFUSED])
+def test_bounded_field_refuses_its_first_value_out(config, field, bad):
+    with pytest.raises(ValueError) as excinfo:
+        dataclasses.replace(config, **{field: bad})
+    error = ScenarioError if isinstance(config, SIMNET_CONFIGS) else ValueError
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{field} must be {'>' if bad == 0 else '>='} 0, got {bad!r}"
+
+
+def ints(low, high):
+    """An int in [low, high], high first: hypothesis draws a strategy's simplest value (0,
+    or sampled_from's first) far more often than the rest, and one field out of range
+    refuses a whole config, so a low first would leave few draws for run."""
+    return st.sampled_from(range(high, low - 1, -1))
+
+
+# Each int field of ScenarioSpec and GnbConfig, drawn from its first refused value up: 0
+# for a > 0 field, -1 for a >= 0 one. The upper ends keep a run small (duration_ms <= 500,
+# capacity <= 8) and most draws runnable: run refuses a pool that preconnected UEs
+# overfill, an onset past the end and a T300 shorter than the Msg4 delay.
+SCENARIO_INTS = {
+    "duration_ms": ints(0, 500), "seed": ints(0, 3), "preconnected_bue": ints(-1, 3),
+    "msg4_to_msg5_delay_ms": ints(-1, 10), "onset_ms": ints(-1, 50),
+    "onset_jitter_ms": ints(-1, 50), "t300_ms": ints(0, 50), "max_retries": ints(-1, 10),
+    "benign_hold_ms": st.none() | ints(-1, 10),
+}
+GNB_INTS = {
+    "capacity": ints(0, 8), "waiting_time_ms": ints(0, 500), "frame_ms": ints(0, 50),
+    "max_msg1_per_frame": ints(0, 50), "msg3_to_msg4_delay_ms": ints(-1, 10),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(ScenarioKind), scenario=st.fixed_dictionaries(SCENARIO_INTS),
+       gnb=st.fixed_dictionaries(GNB_INTS))
+def test_a_config_that_constructs_also_runs(kind, scenario, gnb):
+    try:
+        spec = ScenarioSpec(kind=kind, attacker_rate_per_s=200.0, benign_fleet_rate_per_s=100.0,
+                            background=TruncatedPoissonSpec(), **scenario)
+        config = GnbConfig(**gnb)
+    except (ScenarioError, TypeError):
+        return
+    try:
+        run(spec, config)
+    except ScenarioError:
+        pass
