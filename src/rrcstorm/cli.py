@@ -122,13 +122,14 @@ def _experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
         seeds=_seeds(args), out_dir=Path(args.out))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """The flags of run, latency and table1."""
+def _add_common(parser: argparse.ArgumentParser, seeds_note: str = "") -> None:
+    """The flags of run, latency and table1; seeds_note ends the help of --seed and --reps."""
     parser.add_argument("--capacity", type=int, help="gNB UE-context capacity")
     parser.add_argument("--waiting-time-ms", type=int, help="pending-context hold time")
     parser.add_argument("--attack-rate", type=float, help="attacker Msg3 rate per second")
-    parser.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    parser.add_argument("--reps", type=int, default=1, help="number of seeded repetitions")
+    parser.add_argument("--seed", type=int, default=1, help="base RNG seed" + seeds_note)
+    parser.add_argument("--reps", type=int, default=1,
+                        help="number of seeded repetitions" + seeds_note)
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -156,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p_run)
 
     p_table = sub.add_parser("table1", help="theoretical vs simulated flood metrics "
-                                            "at 0/25/50/75%% occupancy")
-    _add_common(p_table)
+                                            "at 0/25/50/75%% occupancy, one flood each")
+    _add_common(p_table, "; ignored: each occupancy runs one flood, "
+                           "which no seed changes")
 
     p_lat = sub.add_parser("latency", help="seeded detection-latency campaign")
     _add_common(p_lat)
@@ -193,8 +195,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     [gnb] = _override(args, gnb=presets.default_gnb())
     rate = presets.ATTACK_RATE_PER_S if args.attack_rate is None else args.attack_rate
+    if args.reps < 1:   # refused as run and latency refuse it; otherwise ignored
+        raise ValueError("at least one seed required")
     out_path = Path(args.out) / "table1.csv"
-    rows = harness.cmd_table1(_seeds(args), gnb, out_path, rate)
+    rows = harness.cmd_table1(gnb, out_path, rate)
     fmt = "{:>9} {:>12} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7}"
     print(fmt.format("occupancy", "source", "accepted", "rejected",
                      "drop_s", "accept_s", "reject_s", "avail%"))

@@ -1,8 +1,9 @@
 """Experiment drivers behind the CLI: scenario runs, the theory-vs-simulation
 comparison table, seeded latency campaigns, and offline trace replay.
 
-Repetitions are independent seeded engine runs; aggregation is
-order-independent (rows are sorted by seed before writing).
+The repetitions of run and latency are independent seeded engine runs, and
+their rows are written in seed order. table1 runs each occupancy's flood once:
+its scenario has no seeded draw that a row can see.
 """
 from __future__ import annotations
 
@@ -110,33 +111,28 @@ def table1_scenario(occupancy_pct: int, seed: int,
     )
 
 
-def table1_simulated_row(occupancy_pct: int, seeds: Sequence[int],
-                         gnb: GnbConfig,
+def table1_simulated_row(occupancy_pct: int, gnb: GnbConfig,
                          rate_per_s: float = presets.ATTACK_RATE_PER_S) -> TableOneRow:
-    scenario = table1_scenario(occupancy_pct, 0, gnb.capacity, rate_per_s, gnb.waiting_time_ms)
-    per_seed = []   # scalars only: holding each result would keep every trace alive
-    for _, r, _ in _seeded_runs(scenario, seeds, gnb):
-        if r.drop_time_ms is None:
-            raise ValueError(f"flood at {occupancy_pct}% occupancy did not saturate")
-        per_seed.append((r.drop_time_ms, r.accepted_first_period, r.rejected_first_period,
-                         r.availability_first_period_pct, r.duration_reject_ms))
-    drops, accepts, rejects, avails, reject_durs = zip(*per_seed)
-    reject_durs = [d for d in reject_durs if d is not None]
-    drop_s = statistics.mean(drops) / 1000.0
+    """One flood: table1_scenario has no onset jitter and no background, so its seed
+    only picks UE refs, which no row holds, and every seed gives this row."""
+    r = run(table1_scenario(occupancy_pct, 0, gnb.capacity, rate_per_s, gnb.waiting_time_ms),
+            gnb)
+    if r.drop_time_ms is None:
+        raise ValueError(f"flood at {occupancy_pct}% occupancy did not saturate")
+    drop_s = r.drop_time_ms / 1000.0
     return TableOneRow(
         occupancy_pct=occupancy_pct,
         source="simulated",
-        accepted=statistics.mean(accepts),
-        rejected=statistics.mean(rejects),
+        accepted=r.accepted_first_period,
+        rejected=r.rejected_first_period,
         drop_time_s=drop_s,
         accept_duration_s=drop_s,
-        reject_duration_s=statistics.mean(reject_durs) / 1000.0 if reject_durs else 0.0,
-        availability_pct=statistics.mean(avails),
+        reject_duration_s=(r.duration_reject_ms or 0) / 1000.0,
+        availability_pct=r.availability_first_period_pct,
     )
 
 
-def cmd_table1(seeds: Sequence[int], gnb: Optional[GnbConfig] = None,
-               out_path: Optional[Path] = None,
+def cmd_table1(gnb: Optional[GnbConfig] = None, out_path: Optional[Path] = None,
                rate_per_s: float = presets.ATTACK_RATE_PER_S) -> list[TableOneRow]:
     """Theory next to simulation for each occupancy level, optionally as CSV.
 
@@ -144,15 +140,13 @@ def cmd_table1(seeds: Sequence[int], gnb: Optional[GnbConfig] = None,
     the reference results show over the nominal one, and the attack rate after
     the engine's Msg1-per-frame clamp.
     """
-    if not seeds:
-        raise ValueError("at least one seed required")
     gnb = gnb or presets.default_gnb()
     theory_wait_ms = gnb.waiting_time_ms + (WAITING_TIME_EFFECTIVE_MS - WAITING_TIME_NOMINAL_MS)
     theory_rate = min(rate_per_s, gnb.max_msg1_rate_per_s)
     rows = []
     for pct in TABLE1_OCCUPANCIES:
         rows.append(table1_theoretical_row(pct, gnb.capacity, theory_rate, theory_wait_ms))
-        rows.append(table1_simulated_row(pct, seeds, gnb, rate_per_s))
+        rows.append(table1_simulated_row(pct, gnb, rate_per_s))
     if out_path is not None:
         _write_csv(out_path, ["occupancy_pct", "source", "accepted_msg3", "rejected_msg3",
                               "drop_time_s", "accept_duration_s", "reject_duration_s",

@@ -144,7 +144,7 @@ class ScenarioSpec:
     benign_hold_ms: Optional[int] = None
     attacker_cause: EstablishmentCause = EstablishmentCause.EMERGENCY
 
-    _POSITIVE = ("duration_ms", "t300_ms")
+    _POSITIVE = ("duration_ms", "t300_ms", "attacker_rate_per_s", "benign_fleet_rate_per_s")
     _NON_NEGATIVE = ("preconnected_bue", "msg4_to_msg5_delay_ms", "onset_ms", "onset_jitter_ms",
                      "max_retries", "benign_hold_ms")
 
@@ -159,9 +159,8 @@ class ScenarioSpec:
                             f"got {type(self.background).__name__}")
         for kind, name in ((ScenarioKind.ATTACK, "attacker_rate_per_s"),
                            (ScenarioKind.HIGH_LOAD, "benign_fleet_rate_per_s")):
-            rate = getattr(self, name)
-            if self.kind is kind and (rate is None or rate <= 0):
-                raise ScenarioError(f"{kind.value} scenario needs {name} > 0, got {rate!r}")
+            if self.kind is kind and getattr(self, name) is None:
+                raise ScenarioError(f"{kind.value} scenario needs {name} > 0, got None")
         if self.kind is ScenarioKind.NORMAL and self.background is None:
             raise ScenarioError("normal scenario needs a background spec")
 

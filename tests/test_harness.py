@@ -79,7 +79,7 @@ class TestTableOne:
         assert row.availability_pct == pytest.approx(1.1, abs=0.1)
 
     def test_simulated_half_occupancy_row(self, tmp_path):
-        rows = cmd_table1(seeds=[1], out_path=tmp_path / "table1.csv")
+        rows = cmd_table1(out_path=tmp_path / "table1.csv")
         sim50 = next(r for r in rows if r.occupancy_pct == 50 and r.source == "simulated")
         assert sim50.accepted == 8
         assert 0.055 <= sim50.drop_time_s <= 0.085
@@ -87,15 +87,15 @@ class TestTableOne:
         assert header.startswith("occupancy_pct,source")
 
     def test_eight_rows(self, tmp_path):
-        rows = cmd_table1(seeds=[1])
+        rows = cmd_table1()
         assert len(rows) == 8
         assert {r.source for r in rows} == {"theoretical", "simulated"}
 
-    def test_simulated_rows_track_theory_across_ten_seeds(self):
+    def test_simulated_rows_track_theory(self):
         # drop time within one attack period of the closed form; counts and
         # availability within the spread left by the ms grid
         period_s = 1 / 132.07
-        rows = cmd_table1(seeds=list(range(1, 11)))
+        rows = cmd_table1()
         by_key = {(r.occupancy_pct, r.source): r for r in rows}
         for pct, accepted in ((0, 16), (25, 12), (50, 8), (75, 4)):
             theo = by_key[(pct, "theoretical")]
@@ -298,7 +298,7 @@ class TestCli:
         assert main(["table1", "--seed", "1", "--out", str(tmp_path / "default")]) == 0
         assert main(["table1", "--seed", "1", "--attack-rate", "50",
                      "--out", str(tmp_path / "slow")]) == 0
-        rows = cmd_table1([1], out_path=tmp_path / "harness.csv", rate_per_s=50.0)
+        rows = cmd_table1(out_path=tmp_path / "harness.csv", rate_per_s=50.0)
         slow = (tmp_path / "slow" / "table1.csv").read_bytes()
         assert slow == (tmp_path / "harness.csv").read_bytes()
         assert slow != (tmp_path / "default" / "table1.csv").read_bytes()
@@ -325,10 +325,18 @@ class TestCli:
             "aa12a062700b01e3144eed99d0ba005655eca24f7e39450e8ba53100a9a65714")
         assert b"0,theoretical,16.0,348.0,0.121,0.121,2.636,4.40\r\n" in csv
 
+    @pytest.mark.parametrize("flags", [["--seed", "777", "--reps", "25"],
+                                       ["--seed", "-3", "--reps", "2"], ["--reps", "1"]])
+    def test_table1_csv_bytes_ignore_seed_and_reps(self, tmp_path, capsys, flags):
+        # One flood per occupancy: no seed changes a row, and --reps runs no extra flood.
+        assert main(["table1", *flags, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "table1.csv").read_bytes()).hexdigest() == (
+            "aa12a062700b01e3144eed99d0ba005655eca24f7e39450e8ba53100a9a65714")
+
     def test_table1_theory_follows_waiting_time(self, tmp_path, capsys):
         assert main(["table1", "--seed", "1", "--waiting-time-ms", "3000",
                      "--out", str(tmp_path)]) == 0
-        rows = cmd_table1([1], default_gnb(waiting_time_ms=3000))
+        rows = cmd_table1(default_gnb(waiting_time_ms=3000))
         rows = {(r.occupancy_pct, r.source): r for r in rows}
         for pct in (0, 25, 50, 75):
             # The reference offset of the effective over the nominal waiting time, 57 ms.
@@ -343,7 +351,7 @@ class TestCli:
     def test_table1_theory_follows_the_rate_clamp(self, tmp_path, capsys):
         assert main(["table1", "--seed", "1", "--attack-rate", "250",
                      "--out", str(tmp_path)]) == 0
-        rows = cmd_table1([1], rate_per_s=250.0)
+        rows = cmd_table1(rate_per_s=250.0)
         rows = {(r.occupancy_pct, r.source): r for r in rows}
         clamped = default_gnb().max_msg1_rate_per_s    # one Msg1 per 7 ms frame
         for pct in (0, 25, 50, 75):
@@ -486,6 +494,10 @@ GOOD_SCENARIO = {"kind": "attack", "duration_ms": 2000, "attacker_rate_per_s": 1
      "scenario: kind must be a member of ScenarioKind, got None"),
     ({"scenario": {**GOOD_SCENARIO, "attacker_cause": None}},
      "scenario: attacker_cause must be a member of EstablishmentCause, got None"),
+    # A rate the kind does not read is still bounded.
+    ({"scenario": {"kind": "high_load", "duration_ms": 500, "benign_fleet_rate_per_s": 80.0,
+                   "attacker_rate_per_s": -5}},
+     "scenario: attacker_rate_per_s must be > 0, got -5"),
 ])
 def test_bad_config_file_is_a_located_error(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
@@ -730,6 +742,15 @@ def test_a_command_leaves_the_same_cycles_at_any_reps(tmp_path, capsys, cmd):
     finally:
         (gc.enable if before else gc.disable)()
     assert counts[1] == counts[2] > 0
+
+
+@pytest.mark.parametrize("cmd", ["table1", "run", "latency"])
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_no_repetition_is_one_error_line_and_no_out_dir(tmp_path, capsys, cmd, reps):
+    out = tmp_path / "out"
+    assert main([cmd, "--reps", reps, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: at least one seed required\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pct", [150, -1])

@@ -245,6 +245,46 @@ class TestDeterminism:
         assert len(refs) == len(set(refs))
 
 
+@st.composite
+def unjittered_floods(draw, jitter=0):
+    """An attack (ScenarioSpec, GnbConfig) pair with no background and the given onset
+    jitter, whose flood starts before its end: table1's scenario over small ranges."""
+    gnb = GnbConfig(capacity=draw(st.integers(1, 8)), waiting_time_ms=draw(st.integers(1, 300)),
+                    msg3_to_msg4_delay_ms=draw(st.integers(0, 5)))
+    scenario = ScenarioSpec(
+        kind=ScenarioKind.ATTACK, duration_ms=draw(st.integers(jitter + 1, jitter + 400)),
+        preconnected_bue=draw(st.integers(0, gnb.capacity)),
+        attacker_rate_per_s=draw(st.floats(1.0, 2000.0)), onset_jitter_ms=jitter)
+    return scenario, gnb
+
+
+def seed_blind(scenario, gnb, seed):
+    """A run at seed with its UE refs left out: the (t, kind, cause) of each event, and
+    every other field of its SimResult."""
+    result = run(dataclasses.replace(scenario, seed=seed), gnb)
+    return [(e.t, e.kind, e.cause) for e in result.trace], dataclasses.replace(result, trace=[])
+
+
+SEEDS = st.integers(0, 2**32)
+
+
+# table1 runs each occupancy's flood once, at seed 0: with no onset jitter and no
+# background, the seed only picks UE refs, and a redraw after a collision with a live
+# ref moves no timestamp.
+@settings(deadline=None, max_examples=200)
+@given(unjittered_floods(), SEEDS, SEEDS)
+def test_a_flood_without_jitter_or_background_ignores_its_seed(config, seed_a, seed_b):
+    assert seed_blind(*config, seed_a) == seed_blind(*config, seed_b)
+
+
+@settings(deadline=None, max_examples=50)
+@given(unjittered_floods(jitter=200))
+def test_a_jittered_flood_depends_on_its_seed(config):
+    # The control: the same comparison sees the seed once it draws the onset.
+    first = seed_blind(*config, 0)
+    assert any(seed_blind(*config, seed) != first for seed in range(1, 8))
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_pool_never_exceeds_capacity(self, seed):
@@ -313,11 +353,31 @@ class TestOracleEquivalence:
             assert abs(result.drop_time_ms - theory.drop_time_ms) <= period
             assert abs(result.rejected_msg3 - theory.rejected_approx) <= 2
 
+    @pytest.mark.parametrize("capacity,waiting", [(10**3, 1000), (10**4, 5000)])
+    def test_sim_matches_closed_form_above_capacity_32(self, capacity, waiting):
+        # Every firing admitted (rate 2000/s under a 1000-per-frame Msg1 cap), a quarter
+        # of the pool held from t=0, one waiting period of flood.
+        gnb = GnbConfig(capacity=capacity, waiting_time_ms=waiting, max_msg1_per_frame=1000,
+                        msg3_to_msg4_delay_ms=0)
+        result = run(attack(duration_ms=waiting, rate=2000.0, preconnected=capacity // 4), gnb)
+        theory = full_model(AnalyticInputs(waiting_time_ms=waiting, capacity=capacity,
+                                           attack_rate_per_s=2000.0,
+                                           connected_ues=capacity // 4))
+        assert result.accepted_msg3 == theory.accepted
+        assert result.drop_time_ms == theory.drop_time_ms
+        assert abs(result.rejected_msg3 - theory.rejected_approx) <= 2
+
 
 class TestValidation:
     def test_attack_needs_rate(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError,
+                           match=r"^attack scenario needs attacker_rate_per_s > 0, got None$"):
             ScenarioSpec(kind=ScenarioKind.ATTACK, duration_ms=100, seed=1)
+
+    def test_high_load_needs_rate(self):
+        with pytest.raises(ScenarioError, match=r"^high_load scenario needs "
+                                                r"benign_fleet_rate_per_s > 0, got None$"):
+            ScenarioSpec(kind=ScenarioKind.HIGH_LOAD, duration_ms=100, attacker_rate_per_s=5.0)
 
     def test_kind_must_be_a_member(self):
         message = "kind must be a member of ScenarioKind, got 'attack'"
@@ -581,10 +641,10 @@ def test_float_field_must_be_a_number(config, field, bad):
     assert str(excinfo.value) == f"{field} must be a number, got {bad!r}"
 
 
-# The number fields whose sign no bound checks: any seed runs, and a scenario rate is
-# checked by the kind that reads it. Every other int or float field is in its class's
-# _POSITIVE or _NON_NEGATIVE.
-FREE_FIELDS = {"seed", "attacker_rate_per_s", "benign_fleet_rate_per_s"}
+# The number field whose sign no bound checks: any seed runs. Every other int or float
+# field, a scenario rate its kind does not read included, is in its class's _POSITIVE or
+# _NON_NEGATIVE.
+FREE_FIELDS = {"seed"}
 CONFIGS = [attack(), GnbConfig(), TruncatedPoissonSpec(), DetectorConfig(), ANALYTIC]
 
 
@@ -605,7 +665,8 @@ FIRST_REFUSED = [
     (GnbConfig(), "msg3_to_msg4_delay_ms", -1),
     (TruncatedPoissonSpec(), "tick_ms", 0),
     *((TruncatedPoissonSpec(), f, -1) for f in ("lam", "k_max")),
-    *((attack(), f, 0) for f in ("duration_ms", "t300_ms")),
+    *((attack(), f, 0) for f in ("duration_ms", "t300_ms", "attacker_rate_per_s",
+                                 "benign_fleet_rate_per_s")),
     *((attack(), f, -1) for f in ("preconnected_bue", "msg4_to_msg5_delay_ms", "onset_ms",
                                   "onset_jitter_ms", "max_retries", "benign_hold_ms")),
     *((DetectorConfig(), f, 0) for f in ("window_ms", "hop_ms", "msg3_watermark")),
