@@ -127,7 +127,9 @@ def table1_simulated_row(occupancy_pct: int, gnb: GnbConfig,
         rejected=r.rejected_first_period,
         drop_time_s=drop_s,
         accept_duration_s=drop_s,
-        reject_duration_s=(r.duration_reject_ms or 0) / 1000.0,
+        # With no release after the first reject the pool rejects to the period's end.
+        reject_duration_s=(r.duration_reject_ms if r.duration_reject_ms is not None
+                           else gnb.waiting_time_ms - r.drop_time_ms) / 1000.0,
         availability_pct=r.availability_first_period_pct,
     )
 

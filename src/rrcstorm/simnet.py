@@ -2,14 +2,15 @@
 
 Agents: a storm attacker that loops RA + Msg3 and never completes setups, a
 benign fleet (high-load surge) whose UEs always answer Msg4 with Msg5, and
-truncated-Poisson background arrivals modelling everyday traffic. The engine
-is single-threaded, driven by a (time, insertion-sequence) priority queue, and
-bit-reproducible for a given (scenario, gnb, seed) triple.
+truncated-Poisson background arrivals modelling everyday traffic. The engine is
+single-threaded, driven by a heap and a FIFO lane of T300 retries merged in (time,
+insertion-sequence) order, and bit-reproducible for a given (scenario, gnb, seed) triple.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -197,7 +198,8 @@ def _check_fits(scenario: ScenarioSpec, gnb: GnbConfig) -> None:
 
 
 class _Engine:
-    """Event loop: heap keyed by (t, seq); ties resolve in insertion order.
+    """Event loop: a heap and a T300 lane keyed by (t, seq); ties resolve in insertion
+    order. Each T300 is due t300_ms after its queueing, so appends keep the lane in order.
 
     contexts is the gNB's bounded pool: the set of ue_refs that hold a context,
     pending or connected. Preconnected UEs hold theirs from t=0 and emit nothing.
@@ -212,6 +214,7 @@ class _Engine:
         self.trace: list[RrcEvent] = []
         self.now = 0
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._lane: deque[tuple[int, int, str, int]] = deque()   # (t, seq, ue_ref, retries_left)
         self._seq = 0
         # A benign context's Msg5 connects it before its expiry unless the expiry,
         # queued first, is due at or before the Msg5: only then is the expiry queued.
@@ -228,18 +231,19 @@ class _Engine:
                   action: Callable[[], Optional[bool]]) -> None:
         # Firing n of a train at start + round(n * period_ms), up to duration_ms. Each
         # time is taken from start, not from the last firing, so rounding never drifts.
-        # The next firing runs here unless an entry is queued at or before its time:
-        # pushed, it would get the highest seq, so every entry at its time goes first.
-        # An action returns False only when _ra_and_msg3 refused an attacker firing. Each
-        # later firing run here is refused too, as nothing runs between them to free a
+        # The next firing runs here unless an entry (heap or lane) is queued at or before
+        # its time: pushed, it would get the highest seq, so every entry at its time goes
+        # first. An action returns False only when _ra_and_msg3 refused an attacker firing.
+        # Each later firing run here is refused too, as nothing runs between them to free a
         # context: such a run is drawn and emitted in one step, refs redrawn as _fresh_ref does.
-        heap, duration_ms, now = self._heap, self.scenario.duration_ms, self.now
+        heap, lane, duration_ms = self._heap, self._lane, self.scenario.duration_ms
         while True:
             refused = action() is False
             n += 1
             now = start + _round_half_up(n * period_ms)
             if refused:
-                end = min(duration_ms, heap[0][0]) if heap else duration_ms
+                end = min(duration_ms, heap[0][0] if heap else duration_ms,
+                          lane[0][0] if lane else duration_ms)
                 getrandbits, contexts, times, refs = self.rng.getrandbits, self.contexts, [], []
                 while now < end:
                     ue_ref = f"mue-{getrandbits(32):08x}"
@@ -254,7 +258,7 @@ class _Engine:
                     cycle((None, None, self.scenario.attacker_cause, None)))))
             if now >= duration_ms:
                 return
-            if heap and heap[0][0] <= now:
+            if heap and heap[0][0] <= now or lane and lane[0][0] <= now:
                 self._seq += 1
                 heappush(heap, (now, self._seq, self._periodic, (n, start, period_ms, action)))
                 return
@@ -277,7 +281,7 @@ class _Engine:
         """Msg1-Msg3 from ue_ref, then the gNB's reject, or its Msg4 and (where it can
         fire) its expiry scheduled. benign: a benign UE, which answers the Msg4, sent it.
 
-        ue_ref holds no context (_fresh_ref, _periodic, _benign_t300 see to it), so
+        ue_ref holds no context (_fresh_ref, _periodic and run()'s T300 see to it), so
         only a full pool refuses it.
         """
         now, gnb, trace, contexts = self.now, self.gnb, self.trace, self.contexts
@@ -318,11 +322,11 @@ class _Engine:
     # -- benign UEs -------------------------------------------------------
 
     def _benign_attempt(self, ue_ref: str, retries_left: int) -> None:
-        # T300 is no shorter than the Msg4 delay (__init__), so after an accept the
-        # Msg4 stops it first: it runs only after a reject, and only to a retry.
+        # T300 is no shorter than the Msg4 delay (_check_fits), so after an accept the
+        # Msg4 stops it first: it is queued only after a reject, on the lane run() pops.
         if not self._ra_and_msg3(ue_ref, _MO_DATA, True) and retries_left:
-            self.schedule(self.now + self.scenario.t300_ms, self._benign_t300, ue_ref,
-                          retries_left)
+            self._seq += 1
+            self._lane.append((self.now + self.scenario.t300_ms, self._seq, ue_ref, retries_left))
 
     def _benign_msg5(self, ue_ref: str) -> None:
         self.emit(_MSG5, ue_ref)
@@ -330,12 +334,6 @@ class _Engine:
         # otherwise it connects the context, which only the UE's leave frees.
         if not self._benign_expiry and self.scenario.benign_hold_ms is not None:
             self.schedule(self.now + self.scenario.benign_hold_ms, self._release, ue_ref)
-
-    def _benign_t300(self, ue_ref: str, retries_left: int) -> None:
-        # The rejected ref holds no context unless another UE has drawn it since.
-        if ue_ref in self.contexts:
-            ue_ref = self._fresh_ref("bue")
-        self._benign_attempt(ue_ref, retries_left - 1)
 
     def _spawn_benign(self) -> None:
         self._benign_attempt(self._fresh_ref("bue"), self.scenario.max_retries)
@@ -366,12 +364,32 @@ class _Engine:
             self.schedule(0, self._periodic, 0, 0, self.scenario.background.tick_ms,
                           self._background_tick)
 
-        heap, pop = self._heap, heappop
-        while heap:
-            t, _, fn, args = pop(heap)
-            assert t >= self.now, "event queue regressed"
+        heap, lane, pop, popleft = self._heap, self._lane, heappop, self._lane.popleft
+        trace, contexts, capacity = self.trace, self.contexts, self.gnb.capacity
+        while heap or lane:
+            if not lane or heap and heap[0] < lane[0]:
+                t, _, fn, args = pop(heap)
+                assert t >= self.now, "event queue regressed"
+                self.now = t
+                fn(*args)
+                continue
+            # A T300: the UE retries, under a fresh ref if another UE has drawn its own
+            # since. A full pool refuses it here, as _ra_and_msg3 would; its next T300 is
+            # queued while a retry is left.
+            t, _, ue_ref, retries_left = popleft()
             self.now = t
-            fn(*args)
+            if ue_ref in contexts:
+                ue_ref = self._fresh_ref("bue")
+            if len(contexts) < capacity:
+                self._benign_attempt(ue_ref, retries_left - 1)
+                continue
+            trace.extend((_new(RrcEvent, (t, _MSG1, ue_ref, None)),
+                          _new(RrcEvent, (t, _MSG2, ue_ref, None)),
+                          _new(RrcEvent, (t, _MSG3, ue_ref, _MO_DATA)),
+                          _new(RrcEvent, (t, _MSG3_REJECTED, ue_ref, None))))
+            if retries_left > 1:
+                self._seq += 1
+                lane.append((t + self.scenario.t300_ms, self._seq, ue_ref, retries_left - 1))
 
         valid, result = _summarize(self.trace, self.gnb.waiting_time_ms)
         if not valid:   # validate_stream words the fault

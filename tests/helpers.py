@@ -196,10 +196,11 @@ class ReferenceEngine(simnet._Engine):
     """simnet._Engine with one heap entry per timer: a train queues each firing, one
     at a time, even into a full pool; an accepted Msg3 queues its expiry, even where
     the Msg5 always comes first; a benign UE's reaction to Msg4 is an entry of its
-    own after the gNB's; and T300 is queued after every attempt, even where Msg4
-    always comes first or no retry is left. Such a timer does nothing: the reference
-    keeps its own record of pending contexts by generation, and a flag per attempt
-    that its Msg4 came, and each timer checks them."""
+    own after the gNB's; and T300 is queued on the heap, not a lane, after every
+    attempt, even where Msg4 always comes first or no retry is left. Such a timer
+    does nothing: the reference keeps its own record of pending contexts by
+    generation, and a flag per attempt that its Msg4 came, and each timer checks
+    them."""
 
     def __init__(self, scenario, gnb):
         super().__init__(scenario, gnb)
@@ -254,4 +255,6 @@ class ReferenceEngine(simnet._Engine):
 
     def _benign_t300(self, ue_ref, retries_left, answered):
         if retries_left and not answered:
-            super()._benign_t300(ue_ref, retries_left)
+            if ue_ref in self.contexts:   # another UE has drawn the rejected ref since
+                ue_ref = self._fresh_ref("bue")
+            self._benign_attempt(ue_ref, retries_left - 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from rrcstorm import (
+    GnbConfig,
     GnbState,
     TraceParseError,
     harness,
@@ -90,6 +91,14 @@ class TestTableOne:
         rows = cmd_table1()
         assert len(rows) == 8
         assert {r.source for r in rows} == {"theoretical", "simulated"}
+
+    def test_simulated_reject_duration_when_nothing_frees(self):
+        # One context, held from t=0 at 75%: the first Msg3 is refused and no release
+        # follows it, so the pool rejects for the whole waiting time, as in theory.
+        rows = cmd_table1(GnbConfig(capacity=1))
+        sim75 = next(r for r in rows if r.occupancy_pct == 75 and r.source == "simulated")
+        assert sim75.drop_time_s == 0
+        assert sim75.reject_duration_s == pytest.approx(2.7)
 
     def test_simulated_rows_track_theory(self):
         # drop time within one attack period of the closed form; counts and

@@ -563,6 +563,61 @@ def test_engines_agree_when_drawn_refs_name_live_contexts(config):
             == run_with_eight_refs(ReferenceEngine, scenario, gnb))
 
 
+@st.composite
+def saturated_high_loads(draw, max_free=8):
+    """A high-load (ScenarioSpec, GnbConfig) pair at scale, as in paper-highload: a
+    pool of 8-512 contexts (log-uniform) with at most max_free of them not
+    preconnected, a fleet that spawns faster than those free contexts turn over
+    and below the Msg1 cap, and a T300 up to whole multiples of the fleet period,
+    so retries tie with spawns. A hold of 20 or 200 ms frees contexts now and then,
+    so some retries are admitted. At most 1000 spawns of 16 records each."""
+    capacity = round(2 ** draw(st.floats(3, 9)))
+    free = draw(st.integers(0, max_free))
+    delay, msg5_delay = draw(st.integers(0, 5)), draw(st.sampled_from([0, 1, 10]))
+    hold = draw(st.sampled_from([None, 20, 200]))
+    # A context turns over in at least delay + msg5_delay + hold ms, and in that time
+    # the fleet spawns more UEs than there are free contexts. Without a hold none
+    # turns over, and the period is kept below 40 ms.
+    turnover_ms = 40 if hold is None else delay + msg5_delay + hold
+    half_periods = draw(st.integers(1, 2 * turnover_ms // max(free, 1) - 1))
+    period_ms = half_periods / 2
+    lowest = max(delay, 1)
+    multiple_ms = max(lowest, draw(st.integers(1, 8)) * (2 if half_periods % 2 else 1)
+                      * half_periods // 2)
+    t300_ms = draw(st.integers(lowest, multiple_ms) | st.just(multiple_ms))
+    frame_ms = draw(st.sampled_from([1, 7]))
+    gnb = GnbConfig(capacity=capacity, waiting_time_ms=draw(st.sampled_from([40, 300, 2700])),
+                    frame_ms=frame_ms, max_msg1_per_frame=2 * frame_ms,
+                    msg3_to_msg4_delay_ms=delay)
+    onset = draw(st.integers(0, 20))
+    scenario = ScenarioSpec(
+        kind=ScenarioKind.HIGH_LOAD, seed=draw(st.integers(0, 2**16)),
+        duration_ms=onset + math.ceil(draw(st.integers(1, 1000)) * period_ms),
+        preconnected_bue=capacity - free,
+        benign_fleet_rate_per_s=1000 / period_ms, msg4_to_msg5_delay_ms=msg5_delay,
+        onset_ms=onset, t300_ms=t300_ms, max_retries=draw(st.integers(1, 3)),
+        benign_hold_ms=hold)
+    return scenario, gnb
+
+
+@settings(deadline=None, max_examples=60)
+@given(saturated_high_loads())
+def test_engine_equals_reference_engine_in_a_saturated_high_load(config):
+    # Most retries meet a full pool and are refused on the T300 lane; the reference
+    # queues every T300 on its heap.
+    scenario, gnb = config
+    assert run(scenario, gnb) == ReferenceEngine(scenario, gnb).run()
+
+
+@settings(deadline=None, max_examples=60)
+@given(saturated_high_loads(max_free=7))
+def test_engines_agree_in_a_saturated_high_load_when_refs_name_live_contexts(config):
+    # Fewer than 8 benign contexts, so a redraw among 8 refs ends.
+    scenario, gnb = config
+    assert (run_with_eight_refs(simnet._Engine, scenario, gnb)
+            == run_with_eight_refs(ReferenceEngine, scenario, gnb))
+
+
 @settings(deadline=None, max_examples=300)
 @given(engine_configs())
 def test_only_a_full_pool_rejects_a_msg3(config):
