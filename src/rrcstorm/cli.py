@@ -86,10 +86,9 @@ def _override(args: argparse.Namespace, **sections: Any) -> list[Any]:
     return [dataclasses.replace(obj, **changes[name]) for name, obj in sections.items()]
 
 
-def _resolve(args: argparse.Namespace, seed: int,
-             ) -> tuple[ScenarioSpec, GnbConfig, DetectorConfig]:
+def _resolve(args: argparse.Namespace) -> tuple[ScenarioSpec, GnbConfig, DetectorConfig]:
     if args.scenario in presets.PRESET_NAMES:
-        scenario = presets.scenario_from_preset(args.scenario, seed)
+        scenario = presets.scenario_from_preset(args.scenario, args.seed)
         gnb, detector, where = presets.default_gnb(), presets.default_detector(), ""
     else:
         path = Path(args.scenario)
@@ -98,7 +97,7 @@ def _resolve(args: argparse.Namespace, seed: int,
                 f"unknown scenario {args.scenario!r}: not a preset "
                 f"({', '.join(presets.PRESET_NAMES)}) and no such file")
         scenario, gnb, detector = load_config_file(path)
-        scenario, where = dataclasses.replace(scenario, seed=seed), f"{path}: "
+        scenario, where = dataclasses.replace(scenario, seed=args.seed), f"{path}: "
     scenario, gnb, detector = _override(args, scenario=scenario, gnb=gnb, detector=detector)
     if args.occupancy_pct is not None:
         held = presets.occupied_contexts(gnb.capacity, args.occupancy_pct)
@@ -115,7 +114,7 @@ def _seeds(args: argparse.Namespace) -> list[int]:
 
 
 def _experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
-    scenario, gnb, detector = _resolve(args, args.seed)
+    scenario, gnb, detector = _resolve(args)
     name = args.scenario if args.scenario in presets.PRESET_NAMES else Path(args.scenario).stem
     return harness.ExperimentConfig(
         name=name, scenario=scenario, gnb=gnb, detector=detector,
@@ -135,12 +134,17 @@ def _add_common(parser: argparse.ArgumentParser, seeds_note: str = "") -> None:
 
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
     """The scenario and detector flags: run and latency only, since table1 runs its own
-    cold-start floods at fixed occupancies and no detector."""
+    cold-start floods at fixed occupancies and no detector, and replay no scenario."""
     parser.add_argument("--scenario", default="paper-attack-0",
                         help="preset name or JSON config file "
                              f"(presets: {', '.join(presets.PRESET_NAMES)})")
     parser.add_argument("--occupancy-pct", type=int,
                         help="percent of contexts already connected at t=0")
+    _add_detector(parser)
+
+
+def _add_detector(parser: argparse.ArgumentParser) -> None:
+    """The detector flags of run, latency and replay."""
     parser.add_argument("--window-ms", type=int, help="detector window size")
     parser.add_argument("--hop-ms", type=int, help="detector evaluation stride")
     parser.add_argument("--watermark", type=int, help="abnormal Msg3-count watermark")
@@ -171,11 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("trace", type=Path, help="input .rrctrace.jsonl file")
     p_replay.add_argument("--out", type=Path, help="output verdict file "
                           "(default: trace path with verdict suffix)")
-    p_replay.add_argument("--window-ms", type=int, default=None)
-    p_replay.add_argument("--hop-ms", type=int, default=None)
-    p_replay.add_argument("--watermark", type=int, default=None)
-    p_replay.add_argument("--r1-threshold", type=float, default=None)
-    p_replay.add_argument("--r2-threshold", type=float, default=None)
+    _add_detector(p_replay)
+    p_replay.add_argument("--r1-threshold", type=float, help="Msg5/Msg3 ratio threshold")
+    p_replay.add_argument("--r2-threshold", type=float, help="Msg5/Msg4 ratio threshold")
     return parser
 
 

@@ -40,12 +40,12 @@ class ExperimentConfig:
 
 
 def _seeded_runs(scenario: ScenarioSpec, seeds: Iterable[int], gnb: GnbConfig,
-                 detector: Optional[DetectorConfig] = None,
-                 ) -> Iterator[tuple[int, SimResult, Optional[list[DetectionVerdict]]]]:
-    """(seed, result, verdicts) for each seed in ascending order; no detector, no verdicts."""
+                 detector: DetectorConfig,
+                 ) -> Iterator[tuple[int, SimResult, list[DetectionVerdict]]]:
+    """(seed, result, verdicts) for each seed in ascending order."""
     for seed in sorted(seeds):
         result = run(dataclasses.replace(scenario, seed=seed), gnb)
-        yield seed, result, None if detector is None else run_stream(result.trace, detector)
+        yield seed, result, run_stream(result.trace, detector)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

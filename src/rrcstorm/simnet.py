@@ -365,7 +365,6 @@ class _Engine:
                           self._background_tick)
 
         heap, lane, pop, popleft = self._heap, self._lane, heappop, self._lane.popleft
-        trace, contexts, capacity = self.trace, self.contexts, self.gnb.capacity
         while heap or lane:
             if not lane or heap and heap[0] < lane[0]:
                 t, _, fn, args = pop(heap)
@@ -373,59 +372,36 @@ class _Engine:
                 self.now = t
                 fn(*args)
                 continue
-            # A T300: the UE retries, under a fresh ref if another UE has drawn its own
-            # since. A full pool refuses it here, as _ra_and_msg3 would; its next T300 is
-            # queued while a retry is left.
-            t, _, ue_ref, retries_left = popleft()
-            self.now = t
-            if ue_ref in contexts:
+            # A T300: the UE retries, under a fresh ref if another UE has drawn its own since.
+            self.now, _, ue_ref, retries_left = popleft()
+            if ue_ref in self.contexts:
                 ue_ref = self._fresh_ref("bue")
-            if len(contexts) < capacity:
-                self._benign_attempt(ue_ref, retries_left - 1)
-                continue
-            trace.extend((_new(RrcEvent, (t, _MSG1, ue_ref, None)),
-                          _new(RrcEvent, (t, _MSG2, ue_ref, None)),
-                          _new(RrcEvent, (t, _MSG3, ue_ref, _MO_DATA)),
-                          _new(RrcEvent, (t, _MSG3_REJECTED, ue_ref, None))))
-            if retries_left > 1:
-                self._seq += 1
-                lane.append((t + self.scenario.t300_ms, self._seq, ue_ref, retries_left - 1))
+            self._benign_attempt(ue_ref, retries_left - 1)
 
-        valid, result = _summarize(self.trace, self.gnb.waiting_time_ms)
-        if not valid:   # validate_stream words the fault
-            raise AssertionError(
-                f"engine produced an invalid trace: {validate_stream(self.trace)}")
-        return result
+        try:
+            return summarize_trace(self.trace, self.gnb.waiting_time_ms)
+        except ValueError as exc:
+            raise AssertionError(f"engine produced an invalid trace: {exc}") from None
 
 
 def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
     """Compute SimResult metrics from an event trace alone, in one pass.
 
+    ValueError, in validate_stream's words, for a trace that validate_stream refuses.
     A Msg3 is rejected iff a MSG3_REJECTED annotation for the same UE follows
     at the same timestamp; everything else that is a Msg3 was accepted.
-    "First" means first in trace order; the first-period counts take every Msg3
-    and reject timed before first_msg3 + waiting_time_ms, wherever it sits.
+    The first-period counts take every Msg3 and reject timed before
+    first_msg3 + waiting_time_ms; a reject before the first Msg3 is one of them.
     """
-    return _summarize(trace, waiting_time_ms)[1]
-
-
-def _summarize(trace: list[RrcEvent], waiting_time_ms: int) -> tuple[bool, SimResult]:
-    """(validate_stream(trace) is None, summarize_trace(trace, waiting_time_ms)) in one
-    pass that reads each event's t, kind and cause once: the trace is valid unless a
-    timestamp is below the one before (below 0 for the first), or a cause is missing
-    on a Msg3 or present on another kind."""
-    n_msg3 = n_rejected = msg3_fp = rej_fp = 0
+    n_msg3 = n_rejected = msg3_fp = rej_fp = prev_t = 0
     first_msg3 = first_reject = first_release = end = None
-    rejects_before_msg3: list[int] = []     # their first-period share needs end
-    releases_before_reject: list[int] = []  # one of them may follow first_reject in time
-    valid, prev_t = True, 0
     for t, kind, _, cause in trace:
         if t < prev_t:
-            valid = False
+            break
         prev_t = t
         if kind is _MSG3:
             if cause is None:
-                valid = False
+                break
             n_msg3 += 1
             if end is None:
                 first_msg3 = t
@@ -434,48 +410,43 @@ def _summarize(trace: list[RrcEvent], waiting_time_ms: int) -> tuple[bool, SimRe
                 msg3_fp += 1
             continue
         if cause is not None:
-            valid = False
+            break
         if kind is _MSG3_REJECTED:
             n_rejected += 1
             if first_reject is None:
                 first_reject = t
-                first_release = next((r for r in releases_before_reject if r > t), None)
-            if end is None:
-                rejects_before_msg3.append(t)
-            elif t < end:
+            if end is None or t < end:
                 rej_fp += 1
-        elif kind is _CONTEXT_RELEASED:
-            if first_reject is None:
-                releases_before_reject.append(t)
-            elif first_release is None and t > first_reject:
+        elif kind is _CONTEXT_RELEASED and first_release is None:
+            if first_reject is not None and t > first_reject:
                 first_release = t
+    else:   # no break: validate_stream passes the trace
+        drop = duration_reject = None
+        if first_msg3 is not None and first_reject is not None:
+            drop = first_reject - first_msg3
+            if first_release is not None:
+                duration_reject = first_release - first_reject
 
-    drop = duration_reject = None
-    if first_msg3 is not None and first_reject is not None:
-        drop = first_reject - first_msg3
-        if first_release is not None:
-            duration_reject = first_release - first_reject
-
-    acc_fp = 0
-    if end is not None:
-        rej_fp += sum(1 for t in rejects_before_msg3 if t < end)
+        if end is None:   # no Msg3, no first period
+            rej_fp = 0
         acc_fp = msg3_fp - rej_fp
-    avail_fp = None
-    if acc_fp + rej_fp > 0:
-        avail_fp = 100.0 * acc_fp / (acc_fp + rej_fp)
+        avail_fp = None
+        if acc_fp + rej_fp > 0:
+            avail_fp = 100.0 * acc_fp / (acc_fp + rej_fp)
 
-    return valid, SimResult(
-        trace=trace,
-        accepted_msg3=n_msg3 - n_rejected,
-        rejected_msg3=n_rejected,
-        first_msg3_ms=first_msg3,
-        first_reject_ms=first_reject,
-        drop_time_ms=drop,
-        duration_reject_ms=duration_reject,
-        accepted_first_period=acc_fp,
-        rejected_first_period=rej_fp,
-        availability_first_period_pct=avail_fp,
-    )
+        return SimResult(
+            trace=trace,
+            accepted_msg3=n_msg3 - n_rejected,
+            rejected_msg3=n_rejected,
+            first_msg3_ms=first_msg3,
+            first_reject_ms=first_reject,
+            drop_time_ms=drop,
+            duration_reject_ms=duration_reject,
+            accepted_first_period=acc_fp,
+            rejected_first_period=rej_fp,
+            availability_first_period_pct=avail_fp,
+        )
+    raise ValueError(str(validate_stream(trace)))
 
 
 def run(scenario: ScenarioSpec, gnb: GnbConfig) -> SimResult:

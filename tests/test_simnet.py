@@ -444,15 +444,44 @@ class TestValidation:
         assert all(0 <= truncated_poisson_sample(spec, rng) <= k_max for _ in range(20))
 
 
-# run() checks and summarizes a trace in one pass, simnet._summarize: it must agree
-# with both oracles, validate_stream and the multi-pass reference summary.
+# summarize_trace is run()'s one check-and-summary pass: on a trace validate_stream
+# passes it must equal the multi-pass reference summary, and it must refuse any other
+# in validate_stream's words.
 @settings(deadline=None, max_examples=300)
 @given(any_order_traces(), st.integers(1, 400))
 def test_summarize_trace_equals_reference(trace, waiting_time_ms):
-    expected = reference_summarize_trace(trace, waiting_time_ms)
-    assert summarize_trace(trace, waiting_time_ms) == expected
-    assert simnet._summarize(trace, waiting_time_ms) == (validate_stream(trace) is None,
-                                                         expected)
+    violation = validate_stream(trace)
+    if violation is None:
+        assert summarize_trace(trace, waiting_time_ms) == reference_summarize_trace(
+            trace, waiting_time_ms)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            summarize_trace(trace, waiting_time_ms)
+        assert str(excinfo.value) == str(violation)
+
+
+def test_summarize_trace_refuses_a_regressing_trace():
+    trace = [RrcEvent(10, MsgKind.MSG3, "ue-0", EstablishmentCause.MO_DATA),
+             RrcEvent(5, MsgKind.MSG3_REJECTED, "ue-0")]
+    with pytest.raises(ValueError, match="^event 1: timestamp regression 10 -> 5$"):
+        summarize_trace(trace, 100)
+
+
+def test_summarize_trace_reject_and_release_before_any_msg3():
+    # A sorted trace may open with a reject and a release: that reject counts in the
+    # first period with the later one, and the release, timed with the first reject,
+    # ends no reject duration.
+    trace = [RrcEvent(0, MsgKind.MSG3_REJECTED, "ue-0"),
+             RrcEvent(0, MsgKind.CONTEXT_RELEASED, "ue-1"),
+             RrcEvent(4, MsgKind.MSG3, "ue-2", EstablishmentCause.MO_DATA),
+             RrcEvent(6, MsgKind.MSG3, "ue-0", EstablishmentCause.MO_DATA),
+             RrcEvent(6, MsgKind.MSG3_REJECTED, "ue-0"),
+             RrcEvent(9, MsgKind.CONTEXT_RELEASED, "ue-2")]
+    result = summarize_trace(trace, 5)
+    assert result == reference_summarize_trace(trace, 5)
+    assert (result.drop_time_ms, result.duration_reject_ms) == (-4, 9)
+    assert (result.accepted_first_period, result.rejected_first_period) == (0, 2)
+    assert (result.accepted_msg3, result.rejected_msg3) == (0, 2)
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -460,7 +489,6 @@ def test_summarize_engine_trace_equals_reference(preset):
     gnb = default_gnb()
     result = run(scenario_from_preset(preset, 3), gnb)
     assert result == reference_summarize_trace(result.trace, gnb.waiting_time_ms)
-    assert simnet._summarize(result.trace, gnb.waiting_time_ms) == (True, result)
 
 
 def _bad_event_after(monkeypatch, step, bad_event):
