@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional
 
 from .events import _check_types
 
@@ -76,18 +76,11 @@ def drop_time(inputs: AnalyticInputs) -> float:
     return free / inputs.attack_rate_per_s * 1000.0
 
 
-def availability_rate(accepted: Sequence[int], rejected: Sequence[int]) -> tuple[float, float]:
-    """Percentage of requests served across repetitions, and its complement.
-
-    100 * sum(accepted) / sum(accepted + rejected).
-    """
-    if len(accepted) != len(rejected) or not accepted:
-        raise ValueError("accepted and rejected must be equal-length, non-empty")
-    total = sum(accepted) + sum(rejected)
-    if total == 0:
-        raise ValueError("accepted + rejected sums to zero")
-    avail = 100.0 * sum(accepted) / total
-    return avail, 100.0 - avail
+def availability_rate(accepted: int, rejected: int) -> Optional[float]:
+    """Percentage of requests served: 100 * accepted / (accepted + rejected), or None
+    when both are 0."""
+    total = accepted + rejected
+    return 100.0 * accepted / total if total else None
 
 
 def full_model(inputs: AnalyticInputs) -> AnalyticOutputs:
@@ -96,7 +89,8 @@ def full_model(inputs: AnalyticInputs) -> AnalyticOutputs:
     The flood takes the free capacity in the drop time. Overload occurs only when
     that is within the waiting time, whose remainder is then spent rejecting at the
     total Msg3 rate (rejected), or, neglecting the benign rate, at the attack rate
-    (rejected_approx). Otherwise the gNB stays available and rejects nothing.
+    (rejected_approx). Otherwise the gNB stays available and rejects nothing. With
+    nothing offered at all, availability reads 0.0.
     """
     t_drop = drop_time(inputs)
     n_accepted = inputs.capacity - inputs.connected_ues
@@ -109,7 +103,6 @@ def full_model(inputs: AnalyticInputs) -> AnalyticOutputs:
         n_rejected = _round_half_up(reject_s * (inputs.attack_rate_per_s
                                                 + inputs.benign_rate_per_s))
         n_rejected_approx = _round_half_up(reject_s * inputs.attack_rate_per_s)
-    total = n_accepted + n_rejected
     return AnalyticOutputs(
         accepted=n_accepted,
         rejected=n_rejected,
@@ -117,6 +110,6 @@ def full_model(inputs: AnalyticInputs) -> AnalyticOutputs:
         drop_time_ms=t_drop,
         accept_duration_ms=t_accept,
         reject_duration_ms=t_reject,
-        availability_pct=100.0 * n_accepted / total if total else 0.0,
+        availability_pct=availability_rate(n_accepted, n_rejected) or 0.0,
         overloaded=overloaded,
     )

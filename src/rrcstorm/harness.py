@@ -22,8 +22,6 @@ from .detector import (_COUNTED, DetectionVerdict, DetectorConfig, GnbState,
                        detection_latency, iter_verdicts, run_stream)
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, SimResult, run
 
-_ATTACK, _HIGH_LOAD = GnbState.ATTACK, GnbState.HIGH_LOAD   # bound once, read per verdict
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,11 +67,11 @@ class TableOneRow:
     availability_pct: float
 
 
-TABLE1_OCCUPANCIES = (0, 25, 50, 75)
+TABLE1_OCCUPANCIES = presets._ATTACK_OCCUPANCIES
 
 
 def table1_theoretical_row(occupancy_pct: int,
-                           capacity: int = presets.GNB_CAPACITY,
+                           capacity: int = GnbConfig.capacity,
                            rate_per_s: float = presets.ATTACK_RATE_PER_S,
                            waiting_time_ms: float = WAITING_TIME_EFFECTIVE_MS,
                            ) -> TableOneRow:
@@ -97,9 +95,9 @@ def table1_theoretical_row(occupancy_pct: int,
 
 
 def table1_scenario(occupancy_pct: int, seed: int,
-                    capacity: int = presets.GNB_CAPACITY,
+                    capacity: int = GnbConfig.capacity,
                     rate_per_s: float = presets.ATTACK_RATE_PER_S,
-                    waiting_time_ms: int = presets.WAITING_TIME_MS) -> ScenarioSpec:
+                    waiting_time_ms: int = GnbConfig.waiting_time_ms) -> ScenarioSpec:
     # Cold-start flood covering one full waiting period, no onset delay, so
     # the measured first period lines up with the closed-form single period.
     return ScenarioSpec(
@@ -134,7 +132,7 @@ def table1_simulated_row(occupancy_pct: int, gnb: GnbConfig,
     )
 
 
-def cmd_table1(gnb: Optional[GnbConfig] = None, out_path: Optional[Path] = None,
+def cmd_table1(gnb: GnbConfig = GnbConfig(), out_path: Optional[Path] = None,
                rate_per_s: float = presets.ATTACK_RATE_PER_S) -> list[TableOneRow]:
     """Theory next to simulation for each occupancy level, optionally as CSV.
 
@@ -142,7 +140,6 @@ def cmd_table1(gnb: Optional[GnbConfig] = None, out_path: Optional[Path] = None,
     the reference results show over the nominal one, and the attack rate after
     the engine's Msg1-per-frame clamp.
     """
-    gnb = gnb or presets.default_gnb()
     theory_wait_ms = gnb.waiting_time_ms + (WAITING_TIME_EFFECTIVE_MS - WAITING_TIME_NOMINAL_MS)
     theory_rate = min(rate_per_s, gnb.max_msg1_rate_per_s)
     rows = []
@@ -205,20 +202,15 @@ def latency_campaign(config: ExperimentConfig,
         margin = None
         if latency is not None and result.drop_time_ms is not None:
             margin = result.drop_time_ms - latency
-        n_attack = n_highload = 0
-        for v in verdicts:
-            if v.state is _ATTACK:
-                n_attack += 1
-            elif v.state is _HIGH_LOAD:
-                n_highload += 1
+        states = [v.state for v in verdicts]
         rows.append(LatencyRow(
             seed=seed,
             onset_ms=onset,
             drop_time_ms=result.drop_time_ms,
             latency_ms=latency,
             margin_ms=margin,
-            attack_verdicts=n_attack,
-            highload_verdicts=n_highload,
+            attack_verdicts=states.count(GnbState.ATTACK),
+            highload_verdicts=states.count(GnbState.HIGH_LOAD),
         ))
     detected = [r.latency_ms for r in rows if r.latency_ms is not None]
     margins = [r.margin_ms for r in rows if r.margin_ms is not None]
@@ -249,14 +241,13 @@ class RunArtifacts:
 def cmd_run(config: ExperimentConfig) -> RunArtifacts:
     """Run every repetition; write trace, verdicts and a metrics CSV.
 
-    The aggregate availability combines the per-repetition first-period
-    counts as 100 * sum(accepted) / sum(accepted + rejected).
+    The aggregate availability is availability_rate over the sums of the
+    per-repetition first-period counts.
     """
     if config.out_dir is None:
         raise ValueError("cmd_run needs an output directory")
-    trace_paths, verdict_paths = [], []
-    metrics_rows = []
-    acc, rej = [], []
+    trace_paths, verdict_paths, metrics_rows = [], [], []
+    acc = rej = 0
     for seed, result, verdicts in _seeded_runs(config.scenario, config.seeds,
                                                config.gnb, config.detector):
         stem = config.out_dir / f"{config.name}-seed{seed}"
@@ -266,17 +257,15 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
         telemetry.write_verdicts(verdicts, verdict_path)
         trace_paths.append(trace_path)
         verdict_paths.append(verdict_path)
-        acc.append(result.accepted_first_period)
-        rej.append(result.rejected_first_period)
+        acc += result.accepted_first_period
+        rej += result.rejected_first_period
         avail = result.availability_first_period_pct
         metrics_rows.append([seed, result.first_msg3_ms, result.drop_time_ms,
                              result.accepted_first_period, result.rejected_first_period,
                              None if avail is None else f"{avail:.2f}",
                              result.accepted_msg3, result.rejected_msg3])
-    availability = None
-    if sum(acc) + sum(rej) > 0:
-        availability, _ = analytic.availability_rate(acc, rej)
-    metrics_rows.append(["aggregate", None, None, sum(acc), sum(rej),
+    availability = analytic.availability_rate(acc, rej)
+    metrics_rows.append(["aggregate", None, None, acc, rej,
                          None if availability is None else f"{availability:.2f}", None, None])
     metrics_path = config.out_dir / f"{config.name}-metrics.csv"
     _write_csv(metrics_path, ["seed", "first_msg3_ms", "drop_time_ms",

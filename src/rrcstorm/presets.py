@@ -1,20 +1,19 @@
-"""Named scenario presets pinning the reference environment's constants.
+"""Named scenario presets on the reference environment.
 
-The reference setup: a 16-context gNB with a 2.7 s waiting time, a storm
-rate of 132.07 Msg3/s (one per 7 ms frame, as measured), a 625 ms detection
-window, and truncated-Poisson(2) background arrivals bounded to [0, 3] every
-100 ms. Attack presets exist at 0/25/50/75% pre-existing occupancy.
+The config defaults hold the reference setup: a 16-context gNB with a 2.7 s waiting
+time, a 625 ms detection window on a 25 ms hop, and truncated-Poisson(2) background
+arrivals bounded to [0, 3] every 100 ms. The presets add the storm rate of 132.07
+Msg3/s (one per 7 ms frame, as measured), the onset, the high-load surge and the
+background hold.
 """
 from __future__ import annotations
+
+from functools import partial
 
 from .detector import DetectorConfig
 from .simnet import GnbConfig, ScenarioKind, ScenarioSpec, TruncatedPoissonSpec
 
 ATTACK_RATE_PER_S = 132.07
-GNB_CAPACITY = 16
-WAITING_TIME_MS = 2700
-WINDOW_MS = 625
-HOP_MS = 25
 
 #: Attack/high-load traffic starts after the detector has a full window of
 #: quiet history; the seed-dependent jitter de-aliases onset from the hop
@@ -34,27 +33,16 @@ HIGHLOAD_PRECONNECTED = 12
 #: normal run never rejects.
 BACKGROUND_HOLD_MS = 200
 
-PRESET_NAMES = (
-    "paper-attack-0",
-    "paper-attack-25",
-    "paper-attack-50",
-    "paper-attack-75",
-    "paper-highload",
-    "paper-normal",
-)
+#: The pre-existing occupancies, in percent of capacity, of the attack presets.
+_ATTACK_OCCUPANCIES = (0, 25, 50, 75)
 
 
-def default_gnb(capacity: int = GNB_CAPACITY,
-                waiting_time_ms: int = WAITING_TIME_MS) -> GnbConfig:
-    return GnbConfig(capacity=capacity, waiting_time_ms=waiting_time_ms)
+def default_gnb() -> GnbConfig:
+    return GnbConfig()
 
 
 def default_detector() -> DetectorConfig:
-    return DetectorConfig(window_ms=WINDOW_MS, hop_ms=HOP_MS)
-
-
-def default_background() -> TruncatedPoissonSpec:
-    return TruncatedPoissonSpec(lam=2.0, k_max=3, tick_ms=100)
+    return DetectorConfig()
 
 
 def occupied_contexts(capacity: int, occupancy_pct: int) -> int:
@@ -64,17 +52,14 @@ def occupied_contexts(capacity: int, occupancy_pct: int) -> int:
     return round(capacity * occupancy_pct / 100)
 
 
-def attack_scenario(occupancy_pct: int, seed: int,
-                    capacity: int = GNB_CAPACITY,
-                    rate_per_s: float = ATTACK_RATE_PER_S,
-                    duration_ms: int = 4000) -> ScenarioSpec:
+def attack_scenario(occupancy_pct: int, seed: int, duration_ms: int = 4000) -> ScenarioSpec:
     """Storm against a gNB with occupancy_pct of its contexts already held."""
     return ScenarioSpec(
         kind=ScenarioKind.ATTACK,
         duration_ms=duration_ms,
         seed=seed,
-        preconnected_bue=occupied_contexts(capacity, occupancy_pct),
-        attacker_rate_per_s=rate_per_s,
+        preconnected_bue=occupied_contexts(GnbConfig.capacity, occupancy_pct),
+        attacker_rate_per_s=ATTACK_RATE_PER_S,
         onset_ms=ONSET_MS,
         onset_jitter_ms=ONSET_JITTER_MS,
     )
@@ -89,7 +74,6 @@ def highload_scenario(seed: int, duration_ms: int = 3000) -> ScenarioSpec:
         benign_fleet_rate_per_s=HIGHLOAD_RATE_PER_S,
         onset_ms=ONSET_MS,
         onset_jitter_ms=ONSET_JITTER_MS,
-        benign_hold_ms=None,
     )
 
 
@@ -98,17 +82,17 @@ def normal_scenario(seed: int, duration_ms: int = 60_000) -> ScenarioSpec:
         kind=ScenarioKind.NORMAL,
         duration_ms=duration_ms,
         seed=seed,
-        background=default_background(),
+        background=TruncatedPoissonSpec(),
         benign_hold_ms=BACKGROUND_HOLD_MS,
     )
 
 
+_PRESETS = {**{f"paper-attack-{p}": partial(attack_scenario, p) for p in _ATTACK_OCCUPANCIES},
+            "paper-highload": highload_scenario, "paper-normal": normal_scenario}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def scenario_from_preset(name: str, seed: int) -> ScenarioSpec:
-    if name.startswith("paper-attack-"):
-        pct = int(name.removeprefix("paper-attack-"))
-        return attack_scenario(pct, seed)
-    if name == "paper-highload":
-        return highload_scenario(seed)
-    if name == "paper-normal":
-        return normal_scenario(seed)
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name](seed)

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from itertools import chain, cycle, repeat
 from typing import Callable, Optional
 
-from .analytic import _round_half_up
+from .analytic import _round_half_up, availability_rate
 from .events import EstablishmentCause, MsgKind, RrcEvent, _check_types, validate_stream
 
 # Members bound once: a module global reads ~10x faster than MsgKind.MSG3 in the
@@ -180,7 +180,6 @@ class SimResult:
     accepted_msg3: int
     rejected_msg3: int
     first_msg3_ms: Optional[int]
-    first_reject_ms: Optional[int]
     drop_time_ms: Optional[int]
     duration_reject_ms: Optional[int]
     accepted_first_period: int
@@ -388,14 +387,14 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
     """Compute SimResult metrics from an event trace alone, in one pass.
 
     ValueError, in validate_stream's words, for a trace that validate_stream refuses.
-    A Msg3 is rejected iff a MSG3_REJECTED annotation for the same UE follows
-    at the same timestamp; everything else that is a Msg3 was accepted.
-    The first-period counts take every Msg3 and reject timed before
-    first_msg3 + waiting_time_ms; a reject before the first Msg3 is one of them.
+    A MSG3_REJECTED rejects a Msg3 only when its ue and t are those of the latest Msg3
+    not yet rejected; any other rejects none and counts in nothing. Every Msg3 not
+    rejected was accepted. The first-period counts take every Msg3 timed before
+    first_msg3 + waiting_time_ms, and the rejects of those Msg3s.
     """
     n_msg3 = n_rejected = msg3_fp = rej_fp = prev_t = 0
-    first_msg3 = first_reject = first_release = end = None
-    for t, kind, _, cause in trace:
+    first_msg3 = first_reject = drop = duration_reject = end = open_t = open_ue = None
+    for t, kind, ue, cause in trace:
         if t < prev_t:
             break
         prev_t = t
@@ -403,6 +402,7 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
             if cause is None:
                 break
             n_msg3 += 1
+            open_t, open_ue = t, ue
             if end is None:
                 first_msg3 = t
                 end = t + waiting_time_ms
@@ -411,40 +411,28 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
             continue
         if cause is not None:
             break
-        if kind is _MSG3_REJECTED:
+        if kind is _MSG3_REJECTED and t == open_t and ue == open_ue:
+            open_ue = None
             n_rejected += 1
             if first_reject is None:
-                first_reject = t
-            if end is None or t < end:
+                first_reject, drop = t, t - first_msg3
+            if t < end:
                 rej_fp += 1
-        elif kind is _CONTEXT_RELEASED and first_release is None:
+        elif kind is _CONTEXT_RELEASED and duration_reject is None:
             if first_reject is not None and t > first_reject:
-                first_release = t
+                duration_reject = t - first_reject
     else:   # no break: validate_stream passes the trace
-        drop = duration_reject = None
-        if first_msg3 is not None and first_reject is not None:
-            drop = first_reject - first_msg3
-            if first_release is not None:
-                duration_reject = first_release - first_reject
-
-        if end is None:   # no Msg3, no first period
-            rej_fp = 0
         acc_fp = msg3_fp - rej_fp
-        avail_fp = None
-        if acc_fp + rej_fp > 0:
-            avail_fp = 100.0 * acc_fp / (acc_fp + rej_fp)
-
         return SimResult(
             trace=trace,
             accepted_msg3=n_msg3 - n_rejected,
             rejected_msg3=n_rejected,
             first_msg3_ms=first_msg3,
-            first_reject_ms=first_reject,
             drop_time_ms=drop,
             duration_reject_ms=duration_reject,
             accepted_first_period=acc_fp,
             rejected_first_period=rej_fp,
-            availability_first_period_pct=avail_fp,
+            availability_first_period_pct=availability_rate(acc_fp, rej_fp),
         )
     raise ValueError(str(validate_stream(trace)))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from contextlib import suppress
 from io import BytesIO, TextIOBase
 from itertools import compress, islice, repeat, takewhile
@@ -183,10 +184,28 @@ def write_trace(events: Iterable[RrcEvent], sink: Sink) -> int:
     return _write_lines(_trace_lines(events), sink)
 
 
+class _Repeats(dict):
+    """A JSON object that repeats its key `repeated`: _checked_object refuses it."""
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON decoder's object_pairs_hook: the pairs as a dict, a _Repeats if a key repeats."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        value = _Repeats(value)
+        value.repeated = Counter(key for key, _ in pairs).most_common(1)[0][0]
+    return value
+
+
+_decode = json.JSONDecoder(object_pairs_hook=_object).decode   # made once, not per json.loads
+
+
 def _checked_object(value: object, allowed: Iterable[str], required: Iterable[str]) -> dict:
-    """value if a JSON object of allowed keys with every required one; else ValueError."""
+    """value if a JSON object of allowed keys, none twice, with all required; else ValueError."""
     if not isinstance(value, dict):
         raise ValueError(f"expected an object, got {type(value).__name__}")
+    if isinstance(value, _Repeats):
+        raise ValueError(f"duplicate key {value.repeated!r}")
     if unknown := value.keys() - allowed:
         raise ValueError(f"unknown keys {sorted(unknown)}")
     if missing := [key for key in required if key not in value]:
@@ -197,7 +216,7 @@ def _checked_object(value: object, allowed: Iterable[str], required: Iterable[st
 def _json_object(text: str, allowed: Iterable[str], required: Iterable[str]) -> dict:
     """The JSON object text holds, checked by _checked_object; ValueError otherwise."""
     try:
-        value = json.loads(text)
+        value = _decode(text)
     except ValueError as exc:   # JSONDecodeError, or an int of too many digits
         raise ValueError(f"bad JSON: {exc}") from None
     except RecursionError:

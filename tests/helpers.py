@@ -79,6 +79,18 @@ def any_order_traces(draw, max_events: int = 40) -> list[RrcEvent]:
     return events
 
 
+@st.composite
+def reject_traces(draw, max_events: int = 12) -> list[RrcEvent]:
+    """Sorted streams of Msg3s, rejects and releases of two UEs within 3 ms, in which a
+    reject often names the latest Msg3's ue, its t, both or neither, or repeats one."""
+    kinds = draw(st.lists(st.sampled_from(
+        [MsgKind.MSG3, MsgKind.MSG3_REJECTED, MsgKind.CONTEXT_RELEASED]), max_size=max_events))
+    times = sorted(draw(st.lists(st.integers(0, 3), min_size=len(kinds), max_size=len(kinds))))
+    return [RrcEvent(t, kind, draw(st.sampled_from(["a", "b"])),
+                     EstablishmentCause.MO_DATA if kind is MsgKind.MSG3 else None)
+            for t, kind in zip(times, kinds)]
+
+
 def occupancy_timeline(trace, preconnected: int) -> list[int]:
     """Pool occupancy reconstructed from the trace alone.
 
@@ -136,16 +148,37 @@ def first_refusal(events: Iterable[RrcEvent]) -> Optional[tuple[int, str]]:
     return None
 
 
+def counted_rejects(trace: list[RrcEvent]) -> list[RrcEvent]:
+    """The MSG3_REJECTED events of trace that reject a Msg3: those whose ue and t are
+    the latest earlier Msg3's, with no reject of that Msg3 between the two."""
+    counted = []
+    for j, event in enumerate(trace):
+        if event.kind is not MsgKind.MSG3_REJECTED:
+            continue
+        msg3s = [i for i in range(j) if trace[i].kind is MsgKind.MSG3]
+        if not msg3s:
+            continue
+        msg3 = trace[msg3s[-1]]
+        if (msg3.t, msg3.ue_ref) != (event.t, event.ue_ref):
+            continue
+        if any(e.kind is MsgKind.MSG3_REJECTED and (e.t, e.ue_ref) == (msg3.t, msg3.ue_ref)
+               for e in trace[msg3s[-1] + 1:j]):
+            continue
+        counted.append(event)
+    return counted
+
+
 def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
     """simnet.summarize_trace as one pass over the trace per metric."""
+    rejects = counted_rejects(trace)
     n_msg3 = sum(1 for e in trace if e.kind is MsgKind.MSG3)
-    n_rejected = sum(1 for e in trace if e.kind is MsgKind.MSG3_REJECTED)
+    n_rejected = len(rejects)
 
     first_msg3 = next((e.t for e in trace if e.kind is MsgKind.MSG3), None)
-    first_reject = next((e.t for e in trace if e.kind is MsgKind.MSG3_REJECTED), None)
+    first_reject = rejects[0].t if rejects else None
 
     drop = duration_reject = None
-    if first_msg3 is not None and first_reject is not None:
+    if first_reject is not None:
         drop = first_reject - first_msg3
         first_release = next(
             (e.t for e in trace
@@ -157,7 +190,7 @@ def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> Si
     if first_msg3 is not None:
         end = first_msg3 + waiting_time_ms
         msg3_fp = sum(1 for e in trace if e.kind is MsgKind.MSG3 and e.t < end)
-        rej_fp = sum(1 for e in trace if e.kind is MsgKind.MSG3_REJECTED and e.t < end)
+        rej_fp = sum(1 for e in rejects if e.t < end)
         acc_fp = msg3_fp - rej_fp
     avail_fp = None
     if acc_fp + rej_fp > 0:
@@ -168,7 +201,6 @@ def reference_summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> Si
         accepted_msg3=n_msg3 - n_rejected,
         rejected_msg3=n_rejected,
         first_msg3_ms=first_msg3,
-        first_reject_ms=first_reject,
         drop_time_ms=drop,
         duration_reject_ms=duration_reject,
         accepted_first_period=acc_fp,

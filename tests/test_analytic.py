@@ -126,24 +126,16 @@ class TestRejectedCount:
 
 class TestAvailabilityRate:
     def test_empty_gnb_row(self):
-        avail, unavail = availability_rate([16], [346])
-        assert avail == pytest.approx(4.42, abs=0.01)
-        assert unavail == pytest.approx(100 - avail)
+        assert availability_rate(16, 346) == pytest.approx(4.42, abs=0.01)
 
     def test_quarter_row(self):
-        avail, _ = availability_rate([12], [352])
-        assert avail == pytest.approx(3.30, abs=0.02)
+        assert availability_rate(12, 352) == pytest.approx(3.30, abs=0.02)
 
     def test_no_rejections_is_fully_available(self):
-        assert availability_rate([5], [0])[0] == 100.0
+        assert availability_rate(5, 0) == 100.0
 
-    def test_all_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            availability_rate([0], [0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            availability_rate([1, 2], [3])
+    def test_nothing_offered_is_none(self):
+        assert availability_rate(0, 0) is None
 
 
 class TestFullModel:
@@ -168,6 +160,13 @@ class TestFullModel:
         assert out.reject_duration_ms == pytest.approx(2579, abs=0.5)
         assert out.rejected == 341
         assert out.availability_pct == pytest.approx(4.48, abs=0.01)
+
+    def test_nothing_offered_reads_zero_availability(self):
+        # A full pool gives no accept, and 1 ms of rejecting at 1 Msg3/s rounds to none.
+        out = full_model(AnalyticInputs(waiting_time_ms=1, capacity=4, attack_rate_per_s=1,
+                                        connected_ues=4))
+        assert (out.accepted, out.rejected, out.overloaded) == (0, 0, True)
+        assert out.availability_pct == 0.0
 
 
 def random_inputs(rng):

@@ -195,7 +195,7 @@ class TestRunStream:
     def test_r2_non_increasing_while_saturated(self):
         result = run(attack_scenario(0, seed=7), GnbConfig())
         verdicts = run_stream(result.trace, default_detector())
-        saturated_from = result.first_reject_ms
+        saturated_from = result.first_msg3_ms + result.drop_time_ms
         attack_end = max(e.t for e in result.trace if e.kind is MsgKind.MSG3)
         window = [v for v in verdicts if saturated_from <= v.t_ms <= attack_end]
         r2_values = [v.r2 for v in window]

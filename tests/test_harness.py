@@ -60,7 +60,8 @@ def experiment(scenario, seeds, out_dir, name="exp"):
 def test_occupancy_rounds_half_to_even_everywhere(capacity, pct, held):
     # 6 * 25% = 1.5 and 10 * 75% = 7.5 round up, 10 * 25% = 2.5 rounds down.
     assert occupied_contexts(capacity, pct) == held
-    assert attack_scenario(pct, 1, capacity).preconnected_bue == held
+    if capacity == GnbConfig.capacity:
+        assert attack_scenario(pct, 1).preconnected_bue == held
     assert table1_scenario(pct, 1, capacity).preconnected_bue == held
     assert table1_theoretical_row(pct, capacity).accepted == capacity - held
 
@@ -345,7 +346,7 @@ class TestCli:
     def test_table1_theory_follows_waiting_time(self, tmp_path, capsys):
         assert main(["table1", "--seed", "1", "--waiting-time-ms", "3000",
                      "--out", str(tmp_path)]) == 0
-        rows = cmd_table1(default_gnb(waiting_time_ms=3000))
+        rows = cmd_table1(GnbConfig(waiting_time_ms=3000))
         rows = {(r.occupancy_pct, r.source): r for r in rows}
         for pct in (0, 25, 50, 75):
             # The reference offset of the effective over the nominal waiting time, 57 ms.
@@ -527,15 +528,19 @@ READERS = {"trace": read_trace, "verdicts": read_verdicts, "config": load_config
 
 
 @pytest.mark.parametrize("reader", list(GOOD_RECORDS))
-@pytest.mark.parametrize("fault", ["list", "extra-key", "missing-key", "nested", "not-utf8"])
+@pytest.mark.parametrize("fault", ["list", "extra-key", "missing-key", "repeated-key", "nested",
+                                   "not-utf8"])
 def test_one_fault_has_one_wording(tmp_path, reader, fault):
     record, read = GOOD_RECORDS[reader], READERS[reader]
     first = next(iter(record))
+    again = json.dumps({first: record[first]})[1:]
     content, reason = {
         "list": (json.dumps([record]).encode(), "expected an object, got list"),
         "extra-key": (json.dumps({**record, "x": 1}).encode(), "unknown keys ['x']"),
         "missing-key": (json.dumps({k: v for k, v in record.items() if k != first}).encode(),
                         f"missing key '{first}'"),
+        "repeated-key": ((json.dumps(record)[:-1] + ", " + again).encode(),
+                         f"duplicate key '{first}'"),
         "nested": (b"[" * 100_000, "bad JSON: nested too deep"),
         "not-utf8": (b"\xff", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
                               "invalid start byte"),
@@ -547,6 +552,25 @@ def test_one_fault_has_one_wording(tmp_path, reader, fault):
     with pytest.raises(ConfigError if reader == "config" else TraceParseError) as excinfo:
         read(path)
     assert str(excinfo.value) == (f"{path}: " if reader == "config" else "line 1: ") + reason
+
+
+@pytest.mark.parametrize("text,message", [
+    # json.loads alone would run this config on the second gnb, at capacity 99.
+    ('{"scenario": %s, "gnb": {"capacity": 4}, "gnb": {"capacity": 99}}',
+     "duplicate key 'gnb'"),
+    ('{"scenario": %s, "gnb": {"capacity": 4, "capacity": 99}}', "gnb: duplicate key 'capacity'"),
+    ('{"scenario": {"kind": "normal", "duration_ms": 500,'
+     ' "background": {"lam": 2.0, "lam": 0.5}}}', "scenario.background: duplicate key 'lam'"),
+])
+def test_repeated_config_key_is_a_located_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace("%s", json.dumps(GOOD_SCENARIO)))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config_file(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not list(tmp_path.glob("*.jsonl"))
 
 
 def run_cli(argv, stdin=None):
@@ -657,7 +681,7 @@ def test_refused_run_leaves_no_directory(tmp_path, capsys):
         f"error: {path}: preconnected_bue (20) exceeds gNB capacity (16)\n")
     # The engine refuses it too, when harness is called with no config file: 12 > 8.
     config = ExperimentConfig(name="x", scenario=attack_scenario(75, 1),
-                              gnb=default_gnb(capacity=8), detector=default_detector(),
+                              gnb=GnbConfig(capacity=8), detector=default_detector(),
                               seeds=[1], out_dir=out)
     with pytest.raises(ValueError, match=r"^preconnected_bue \(12\) exceeds gNB capacity \(8\)$"):
         cmd_run(config)

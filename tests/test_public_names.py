@@ -28,3 +28,16 @@ def test_public_names_of_a_fresh_import():
                           env=child_env(), timeout=60, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 42
+
+
+def test_a_fresh_import_loads_only_the_standard_library():
+    # pyproject's runtime dependencies are []: importing the package and its CLI loads no
+    # top-level module but rrcstorm and the standard library's.
+    code = ("import sys; before = set(sys.modules); import rrcstorm, rrcstorm.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60, check=True)
+    loaded = proc.stdout.split()
+    assert "rrcstorm" in loaded
+    assert [name for name in loaded
+            if name != "rrcstorm" and name not in sys.stdlib_module_names] == []

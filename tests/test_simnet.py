@@ -32,6 +32,7 @@ from helpers import (
     any_order_traces,
     occupancy_timeline,
     reference_summarize_trace,
+    reject_traces,
 )
 
 
@@ -448,7 +449,7 @@ class TestValidation:
 # passes it must equal the multi-pass reference summary, and it must refuse any other
 # in validate_stream's words.
 @settings(deadline=None, max_examples=300)
-@given(any_order_traces(), st.integers(1, 400))
+@given(any_order_traces() | reject_traces(), st.integers(1, 400))
 def test_summarize_trace_equals_reference(trace, waiting_time_ms):
     violation = validate_stream(trace)
     if violation is None:
@@ -468,9 +469,9 @@ def test_summarize_trace_refuses_a_regressing_trace():
 
 
 def test_summarize_trace_reject_and_release_before_any_msg3():
-    # A sorted trace may open with a reject and a release: that reject counts in the
-    # first period with the later one, and the release, timed with the first reject,
-    # ends no reject duration.
+    # A sorted trace may open with a reject and a release: that reject names no Msg3
+    # and counts in nothing. The reject at 6 rejects the Msg3 at 6, so the pool
+    # dropped 2 ms after the first Msg3, and the release at 9 ends the reject duration.
     trace = [RrcEvent(0, MsgKind.MSG3_REJECTED, "ue-0"),
              RrcEvent(0, MsgKind.CONTEXT_RELEASED, "ue-1"),
              RrcEvent(4, MsgKind.MSG3, "ue-2", EstablishmentCause.MO_DATA),
@@ -479,9 +480,55 @@ def test_summarize_trace_reject_and_release_before_any_msg3():
              RrcEvent(9, MsgKind.CONTEXT_RELEASED, "ue-2")]
     result = summarize_trace(trace, 5)
     assert result == reference_summarize_trace(trace, 5)
-    assert (result.drop_time_ms, result.duration_reject_ms) == (-4, 9)
-    assert (result.accepted_first_period, result.rejected_first_period) == (0, 2)
-    assert (result.accepted_msg3, result.rejected_msg3) == (0, 2)
+    assert (result.drop_time_ms, result.duration_reject_ms) == (2, 3)
+    assert (result.accepted_first_period, result.rejected_first_period) == (1, 1)
+    assert (result.accepted_msg3, result.rejected_msg3) == (1, 1)
+
+
+@pytest.mark.parametrize("rejects", [
+    [(1, "x"), (2, "y")],   # other UEs, later: once -100% availability
+    [(1, "a")],             # its UE, a later t
+    [(0, "b")],             # its t, another UE
+])
+def test_summarize_trace_counts_no_reject_of_another_ue_or_time(rejects):
+    # No reject names the one Msg3 (a at 0) by both ue and t, so none counts against it.
+    trace = [RrcEvent(0, MsgKind.MSG3, "a", EstablishmentCause.MO_DATA),
+             *(RrcEvent(t, MsgKind.MSG3_REJECTED, ue) for t, ue in rejects)]
+    result = summarize_trace(trace, 100)
+    assert result == reference_summarize_trace(trace, 100)
+    assert (result.accepted_msg3, result.rejected_msg3, result.drop_time_ms) == (1, 0, None)
+    assert (result.accepted_first_period, result.rejected_first_period) == (1, 0)
+    assert result.availability_first_period_pct == 100.0
+
+
+def test_summarize_trace_counts_a_repeated_reject_once():
+    # The second reject of a at 0 finds its Msg3 already rejected.
+    trace = [RrcEvent(0, MsgKind.MSG3, "a", EstablishmentCause.MO_DATA),
+             RrcEvent(0, MsgKind.MSG3_REJECTED, "a"),
+             RrcEvent(0, MsgKind.MSG3_REJECTED, "a")]
+    result = summarize_trace(trace, 100)
+    assert result == reference_summarize_trace(trace, 100)
+    assert (result.accepted_msg3, result.rejected_msg3, result.drop_time_ms) == (0, 1, 0)
+    assert result.availability_first_period_pct == 0.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(any_order_traces() | reject_traces(), st.integers(1, 400))
+def test_summarize_trace_metrics_are_in_range(trace, waiting_time_ms):
+    # A reject counts only against its own Msg3, so no count, drop time or availability
+    # can leave its range, whatever rejects a foreign trace holds.
+    if validate_stream(trace) is not None:
+        return
+    result = summarize_trace(trace, waiting_time_ms)
+    counts = (result.accepted_msg3, result.rejected_msg3, result.accepted_first_period,
+              result.rejected_first_period)
+    assert min(counts) >= 0 and (result.drop_time_ms or 0) >= 0
+    if result.first_msg3_ms is not None:
+        end = result.first_msg3_ms + waiting_time_ms
+        msg3_fp = sum(1 for e in trace if e.kind is MsgKind.MSG3 and e.t < end)
+        assert result.rejected_first_period <= msg3_fp
+    avail = result.availability_first_period_pct
+    assert avail is None or 0.0 <= avail <= 100.0
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -656,6 +703,17 @@ def test_only_a_full_pool_rejects_a_msg3(config):
     for event, occupancy in zip(trace, timeline):
         if event.kind is MsgKind.MSG3_REJECTED:
             assert occupancy == gnb.capacity, event
+
+
+@settings(deadline=None, max_examples=300)
+@given(engine_configs())
+def test_every_reject_directly_follows_its_msg3(config):
+    # summarize_trace counts a reject only against the latest Msg3, of its ue and t.
+    trace = run(*config).trace
+    for i, event in enumerate(trace):
+        if event.kind is MsgKind.MSG3_REJECTED:
+            msg3 = trace[i - 1]
+            assert i and (msg3.kind, msg3.t, msg3.ue_ref) == (MsgKind.MSG3, event.t, event.ue_ref)
 
 
 def test_retry_on_a_ref_another_ue_took_is_redrawn():

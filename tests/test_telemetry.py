@@ -130,12 +130,21 @@ class TestReadTrace:
         ('{"t":0,"kind":null,"ue":"a"}', "unknown kind None"),
         ('{"t":0,"kind":"msg1","ue":null}', "'ue' must be a non-empty string"),
         ('{"t":true,"kind":"msg1","ue":"a"}', "integer, got True"),
+        ('{"t":5,"kind":"msg1","ue":"a","t":1}', "duplicate key 't'"),
+        ('{"t":5,"kind":"msg3","ue":"a","cause":"emergency","cause":"mo_data"}',
+         "duplicate key 'cause'"),
     ])
     def test_strict_rejections(self, line, fragment):
         with pytest.raises(TraceParseError) as excinfo:
             read_trace(io.StringIO(line + "\n"))
         assert excinfo.value.line_no == 1
         assert fragment in str(excinfo.value)
+
+    def test_repeated_key_after_canonical_lines_is_located(self):
+        # Once its two keys read as one, the line would pass for t=1.
+        good = '{"t":0,"kind":"msg4","ue":"a"}'
+        with pytest.raises(TraceParseError, match="^line 3: duplicate key 't'$"):
+            read_trace(io.StringIO(f'{good}\n{good}\n{{"t":5,"kind":"msg1","ue":"a","t":1}}\n'))
 
     def test_error_carries_line_number(self):
         good = '{"t":0,"kind":"msg4","ue":"a"}'
@@ -201,6 +210,8 @@ class TestVerdicts:
         pytest.param('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1'
                      + "0" * 399 + ',"r2":1.0}', f"'r1' must be a finite number, got {10 ** 399}",
                      id="r1-of-400-digits"),
+        ('{"t":650,"state":"attack","n_msg3":1,"n_msg4":1,"n_msg5":1,"r1":1.0,"r2":1.0,'
+         '"state":"normal"}', "duplicate key 'state'"),
     ])
     def test_typed_rejections_carry_line_number(self, line, fragment):
         good = verdict_line(self._verdict())
