@@ -64,7 +64,8 @@ def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfi
 
 
 #: argparse dest -> (section, field) it overrides; only flags that were given apply.
-#: --occupancy-pct is the one computed override (a share of the resolved capacity).
+#: --occupancy-pct is the one computed override (a share of the resolved capacity); a
+#: preset's own share is rescaled to the resolved capacity too.
 FLAG_FIELDS = {
     "capacity": ("gnb", "capacity"),
     "waiting_time_ms": ("gnb", "waiting_time_ms"),
@@ -99,8 +100,10 @@ def _resolve(args: argparse.Namespace) -> tuple[ScenarioSpec, GnbConfig, Detecto
         scenario, gnb, detector = load_config_file(path)
         scenario, where = dataclasses.replace(scenario, seed=args.seed), f"{path}: "
     scenario, gnb, detector = _override(args, scenario=scenario, gnb=gnb, detector=detector)
-    if args.occupancy_pct is not None:
-        held = presets.occupied_contexts(gnb.capacity, args.occupancy_pct)
+    pct = (args.occupancy_pct if args.occupancy_pct is not None
+           else presets._OCCUPANCY_PCT.get(args.scenario))   # None for a config file
+    if pct is not None:
+        held = presets.occupied_contexts(gnb.capacity, pct)
         scenario = dataclasses.replace(scenario, preconnected_bue=held)
     try:   # after the flags, which can make a config file's sections fit or not
         _check_fits(scenario, gnb)

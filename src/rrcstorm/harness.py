@@ -2,8 +2,11 @@
 comparison table, seeded latency campaigns, and offline trace replay.
 
 The repetitions of run and latency are independent seeded engine runs, and
-their rows are written in seed order. table1 runs each occupancy's flood once:
-its scenario has no seeded draw that a row can see.
+their rows are written in seed order. Each repetition is reduced to its row in
+one call (run writes its trace and verdict files there), so they hold one
+repetition's trace and verdicts at a time, freed before the next run starts.
+table1 runs each occupancy's flood once: its scenario has no seeded draw that a
+row can see.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import analytic, presets, telemetry
 from .analytic import AnalyticInputs, WAITING_TIME_EFFECTIVE_MS, WAITING_TIME_NOMINAL_MS
@@ -37,13 +40,11 @@ class ExperimentConfig:
             raise ValueError("at least one seed required")
 
 
-def _seeded_runs(scenario: ScenarioSpec, seeds: Iterable[int], gnb: GnbConfig,
-                 detector: DetectorConfig,
-                 ) -> Iterator[tuple[int, SimResult, list[DetectionVerdict]]]:
-    """(seed, result, verdicts) for each seed in ascending order."""
-    for seed in sorted(seeds):
-        result = run(dataclasses.replace(scenario, seed=seed), gnb)
-        yield seed, result, run_stream(result.trace, detector)
+def _seeded_run(scenario: ScenarioSpec, seed: int, gnb: GnbConfig, detector: DetectorConfig,
+                ) -> tuple[SimResult, list[DetectionVerdict]]:
+    """The engine run of scenario at seed, and the detector's verdicts over its trace."""
+    result = run(dataclasses.replace(scenario, seed=seed), gnb)
+    return result, run_stream(result.trace, detector)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -179,6 +180,28 @@ class LatencySummary:
     total_attack_verdicts: int
 
 
+def _latency_row(config: ExperimentConfig, seed: int, target: GnbState) -> LatencyRow:
+    """One seed's row; its trace and verdicts are freed on return, before the next run."""
+    result, verdicts = _seeded_run(config.scenario, seed, config.gnb, config.detector)
+    onset = result.first_msg3_ms
+    if onset is None:
+        raise ValueError(f"seed {seed}: scenario produced no Msg3")
+    latency = detection_latency(verdicts, onset, target)
+    margin = None
+    if latency is not None and result.drop_time_ms is not None:
+        margin = result.drop_time_ms - latency
+    states = [v.state for v in verdicts]
+    return LatencyRow(
+        seed=seed,
+        onset_ms=onset,
+        drop_time_ms=result.drop_time_ms,
+        latency_ms=latency,
+        margin_ms=margin,
+        attack_verdicts=states.count(GnbState.ATTACK),
+        highload_verdicts=states.count(GnbState.HIGH_LOAD),
+    )
+
+
 def latency_campaign(config: ExperimentConfig,
                      target: Optional[GnbState] = None,
                      out_path: Optional[Path] = None,
@@ -192,26 +215,7 @@ def latency_campaign(config: ExperimentConfig,
     if target is None:
         target = (GnbState.ATTACK if config.scenario.kind is ScenarioKind.ATTACK
                   else GnbState.HIGH_LOAD)
-    rows = []
-    for seed, result, verdicts in _seeded_runs(config.scenario, config.seeds,
-                                               config.gnb, config.detector):
-        onset = result.first_msg3_ms
-        if onset is None:
-            raise ValueError(f"seed {seed}: scenario produced no Msg3")
-        latency = detection_latency(verdicts, onset, target)
-        margin = None
-        if latency is not None and result.drop_time_ms is not None:
-            margin = result.drop_time_ms - latency
-        states = [v.state for v in verdicts]
-        rows.append(LatencyRow(
-            seed=seed,
-            onset_ms=onset,
-            drop_time_ms=result.drop_time_ms,
-            latency_ms=latency,
-            margin_ms=margin,
-            attack_verdicts=states.count(GnbState.ATTACK),
-            highload_verdicts=states.count(GnbState.HIGH_LOAD),
-        ))
+    rows = [_latency_row(config, seed, target) for seed in sorted(config.seeds)]
     detected = [r.latency_ms for r in rows if r.latency_ms is not None]
     margins = [r.margin_ms for r in rows if r.margin_ms is not None]
     summary = LatencySummary(
@@ -238,6 +242,22 @@ class RunArtifacts:
     availability_pct: Optional[float]
 
 
+def _run_repetition(config: ExperimentConfig, seed: int) -> tuple[Path, Path, list]:
+    """One seed's trace and verdict files, written, and its metrics row; the trace and
+    verdicts are freed on return, before the next run."""
+    result, verdicts = _seeded_run(config.scenario, seed, config.gnb, config.detector)
+    stem = config.out_dir / f"{config.name}-seed{seed}"
+    trace_path = Path(str(stem) + telemetry.TRACE_SUFFIX)
+    verdict_path = Path(str(stem) + telemetry.VERDICT_SUFFIX)
+    telemetry.write_trace(result.trace, trace_path)
+    telemetry.write_verdicts(verdicts, verdict_path)
+    avail = result.availability_first_period_pct
+    return trace_path, verdict_path, [
+        seed, result.first_msg3_ms, result.drop_time_ms,
+        result.accepted_first_period, result.rejected_first_period,
+        None if avail is None else f"{avail:.2f}", result.accepted_msg3, result.rejected_msg3]
+
+
 def cmd_run(config: ExperimentConfig) -> RunArtifacts:
     """Run every repetition; write trace, verdicts and a metrics CSV.
 
@@ -246,24 +266,10 @@ def cmd_run(config: ExperimentConfig) -> RunArtifacts:
     """
     if config.out_dir is None:
         raise ValueError("cmd_run needs an output directory")
-    trace_paths, verdict_paths, metrics_rows = [], [], []
-    acc = rej = 0
-    for seed, result, verdicts in _seeded_runs(config.scenario, config.seeds,
-                                               config.gnb, config.detector):
-        stem = config.out_dir / f"{config.name}-seed{seed}"
-        trace_path = Path(str(stem) + telemetry.TRACE_SUFFIX)
-        verdict_path = Path(str(stem) + telemetry.VERDICT_SUFFIX)
-        telemetry.write_trace(result.trace, trace_path)
-        telemetry.write_verdicts(verdicts, verdict_path)
-        trace_paths.append(trace_path)
-        verdict_paths.append(verdict_path)
-        acc += result.accepted_first_period
-        rej += result.rejected_first_period
-        avail = result.availability_first_period_pct
-        metrics_rows.append([seed, result.first_msg3_ms, result.drop_time_ms,
-                             result.accepted_first_period, result.rejected_first_period,
-                             None if avail is None else f"{avail:.2f}",
-                             result.accepted_msg3, result.rejected_msg3])
+    trace_paths, verdict_paths, metrics_rows = map(list, zip(
+        *(_run_repetition(config, seed) for seed in sorted(config.seeds))))
+    acc = sum(row[3] for row in metrics_rows)   # accepted_first_period
+    rej = sum(row[4] for row in metrics_rows)   # rejected_first_period
     availability = analytic.availability_rate(acc, rej)
     metrics_rows.append(["aggregate", None, None, acc, rej,
                          None if availability is None else f"{availability:.2f}", None, None])

@@ -21,12 +21,12 @@ ATTACK_RATE_PER_S = 132.07
 ONSET_MS = 1000
 ONSET_JITTER_MS = 200
 
-#: High-load surge: a busy cell (12 of 16 contexts held) hit by a benign
+#: High-load surge: a busy cell (75% of contexts held, 12 of 16) hit by a benign
 #: fleet at 80 arrivals/s -- far above the ~5.9/s the pool can turn over, far
 #: below the storm rate, and fast enough that the abnormal-Msg3 watermark
 #: trips within a couple hundred ms. Fleet UEs hold their connection.
 HIGHLOAD_RATE_PER_S = 80.0
-HIGHLOAD_PRECONNECTED = 12
+HIGHLOAD_OCCUPANCY_PCT = 75
 
 #: Background sessions are short-held: at most 3 arrivals per 100 ms tick
 #: alive for ~211 ms keeps worst-case occupancy at 9 of 16 contexts, so a
@@ -70,7 +70,7 @@ def highload_scenario(seed: int, duration_ms: int = 3000) -> ScenarioSpec:
         kind=ScenarioKind.HIGH_LOAD,
         duration_ms=duration_ms,
         seed=seed,
-        preconnected_bue=HIGHLOAD_PRECONNECTED,
+        preconnected_bue=occupied_contexts(GnbConfig.capacity, HIGHLOAD_OCCUPANCY_PCT),
         benign_fleet_rate_per_s=HIGHLOAD_RATE_PER_S,
         onset_ms=ONSET_MS,
         onset_jitter_ms=ONSET_JITTER_MS,
@@ -90,6 +90,9 @@ def normal_scenario(seed: int, duration_ms: int = 60_000) -> ScenarioSpec:
 _PRESETS = {**{f"paper-attack-{p}": partial(attack_scenario, p) for p in _ATTACK_OCCUPANCIES},
             "paper-highload": highload_scenario, "paper-normal": normal_scenario}
 PRESET_NAMES = tuple(_PRESETS)
+#: The percent of capacity each preset holds at t=0, which the CLI rescales to a --capacity.
+_OCCUPANCY_PCT = {**{f"paper-attack-{p}": p for p in _ATTACK_OCCUPANCIES},
+                  "paper-highload": HIGHLOAD_OCCUPANCY_PCT, "paper-normal": 0}
 
 
 def scenario_from_preset(name: str, seed: int) -> ScenarioSpec:

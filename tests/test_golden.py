@@ -24,7 +24,9 @@ from rrcstorm import (
     write_trace,
     write_verdicts,
 )
+from rrcstorm.cli import main
 from rrcstorm.presets import (
+    PRESET_NAMES,
     default_detector,
     default_gnb,
     highload_scenario,
@@ -114,6 +116,34 @@ def test_trace_digest_stable(tmp_path, scenario, gnb, digest):
     path = tmp_path / "regen.rrctrace.jsonl"
     write_trace(run(scenario, gnb).trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the CSVs that `latency --seed 1 --reps 3` and `run --seed 1 --reps 2` write
+# for each preset: (latency CSV, metrics CSV).
+CSV_DIGESTS = {
+    "paper-attack-0": ("741c842ac29e4bac016d1e07c930f41c8217ae56726bdcbdb32ff87517b1634e",
+                       "4f60f6900671a03bce2e10c1883a04f888f5cc433164f0dc0075d214458ed91f"),
+    "paper-attack-25": ("6dbfbf7d47c2eda49246657e55bb75c9d7286a45f04153071b3bc64fa39f35a8",
+                        "05bfa80b2c35944bb9d52802c9fa1946ce7121c951a364ece42c8411860a2fee"),
+    "paper-attack-50": ("77548397dc3211ea08050ac6eca835000076a4b129115172aafbec3cce940afd",
+                        "16629a38c6396f8687249a77645fb7b46ad53c6c985916e78910bb30d8eebb6d"),
+    "paper-attack-75": ("ea01921bb62ded902b34bfc6e3447977c1aa2308eff4c4ad57f4e1e8534c4453",
+                        "d65a33bdc611a248c728759d4b9cc7074d29b8cc65dc25de9ca9af539d70eeae"),
+    "paper-highload": ("403f6282a81bc4fdec34f6db1b767762a8f6ffd70fa97198462a877a05ca0c4c",
+                       "9838b27a141b5bcf8a47f86edfd0fb8cc129936de18e14f8024a46f78e553317"),
+    "paper-normal": ("2ddb2fcdc99d067ca76fcbc52fb3b009d302225750f06b4567e7360a8f611e01",
+                     "813cbe8736e9fd7e38f0ab6ef4373250033a8d94180a5664fbc1307af604e4d6"),
+}
+
+
+@pytest.mark.parametrize("cmd,reps,csv_name,column", [("latency", "3", "latency", 0),
+                                                      ("run", "2", "metrics", 1)],
+                         ids=["latency", "run"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_csv_digest_stable(tmp_path, capsys, preset, cmd, reps, csv_name, column):
+    main([cmd, "--scenario", preset, "--seed", "1", "--reps", reps, "--out", str(tmp_path)])
+    csv_bytes = (tmp_path / f"{preset}-{csv_name}.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == CSV_DIGESTS[preset][column]
 
 
 def test_expiry_on_the_msg5s_ms_comes_first():

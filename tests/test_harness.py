@@ -701,6 +701,22 @@ def test_flags_decide_whether_a_config_file_fits(tmp_path, capsys, preconnected,
     assert (code, capsys.readouterr().err) == ((2, f"error: {path}: {err}\n") if err else (0, ""))
 
 
+# A preset holds its share of the resolved capacity; an explicit --occupancy-pct wins.
+@pytest.mark.parametrize("argv,accepted", [
+    (["run", "--scenario", "paper-attack-75", "--capacity", "8"], 2),
+    (["run", "--scenario", "paper-attack-50", "--capacity", "64"], 32),
+    (["run", "--scenario", "paper-attack-50", "--capacity", "64", "--occupancy-pct", "25"], 48),
+    (["latency", "--scenario", "paper-highload", "--capacity", "8"], None),
+], ids=["attack-75-at-8", "attack-50-at-64", "occupancy-flag-wins", "highload-at-8"])
+def test_preset_occupancy_follows_capacity(tmp_path, capsys, argv, accepted):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    if accepted is not None:
+        row, _aggregate = csv.DictReader(io.StringIO((tmp_path / f"{argv[2]}-metrics.csv")
+                                                     .read_text()))
+        assert int(row["accepted_first_period"]) == accepted
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
 def test_failed_replay_removes_only_the_directories_it_made(tmp_path, capsys, existing):
     trace = tmp_path / "bad.rrctrace.jsonl"
@@ -775,6 +791,23 @@ def test_a_command_leaves_the_same_cycles_at_any_reps(tmp_path, capsys, cmd):
     finally:
         (gc.enable if before else gc.disable)()
     assert counts[1] == counts[2] > 0
+
+
+# Each repetition's trace and verdicts are freed before the next run starts, so the
+# peak does not grow with --reps.
+@pytest.mark.parametrize("cmd", ["latency", "run"])
+def test_a_command_holds_one_repetition_at_a_time(tmp_path, capsys, cmd):
+    argv = [cmd, "--scenario", "paper-normal", "--out", str(tmp_path)]
+    main(argv)   # warms up what is made once per process
+    peaks = []
+    for reps in ("1", "3"):
+        tracemalloc.start()
+        try:
+            main([*argv, "--reps", reps])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.15 * peaks[0]
 
 
 @pytest.mark.parametrize("cmd", ["table1", "run", "latency"])
