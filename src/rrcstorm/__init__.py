@@ -11,7 +11,6 @@ from .analytic import (
     WAITING_TIME_EFFECTIVE_MS,
     WAITING_TIME_NOMINAL_MS,
     availability_rate,
-    drop_time,
     full_model,
 )
 from .detector import (
@@ -22,14 +21,11 @@ from .detector import (
     classify,
     detection_latency,
     iter_verdicts,
-    run_stream,
 )
 from .events import (
     EstablishmentCause,
     MsgKind,
     RrcEvent,
-    StreamViolation,
-    validate_stream,
 )
 from .simnet import (
     GnbConfig,
@@ -47,7 +43,6 @@ from .telemetry import (
     VERDICT_SUFFIX,
     TraceParseError,
     iter_trace,
-    read_trace,
     read_verdicts,
     write_trace,
     write_verdicts,

@@ -70,7 +70,8 @@ def drop_time(inputs: AnalyticInputs) -> float:
     """Time in ms until the flood consumes the free capacity.
 
     free capacity / attack rate; with no connected UEs this is simply
-    capacity / attack rate.
+    capacity / attack rate. full_model's drop_time_ms is the public form; the package
+    does not re-export this, which stays for the benchmark (ROADMAP item 5).
     """
     free = inputs.capacity - inputs.connected_ues
     return free / inputs.attack_rate_per_s * 1000.0

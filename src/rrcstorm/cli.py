@@ -168,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_table, "; ignored: each occupancy runs one flood, "
                            "which no seed changes")
 
-    p_lat = sub.add_parser("latency", help="seeded detection-latency campaign")
+    p_lat = sub.add_parser(
+        "latency", help="seeded detection-latency campaign",
+        description="Seeded detection-latency campaign. Exits 1, with no error: line, when "
+                    "any run never reaches its target state (every paper-normal run), and "
+                    "2 on an error.")
     _add_common(p_lat)
     _add_scenario(p_lat)
     p_lat.add_argument("--target", choices=[s.value for s in GnbState],

@@ -71,13 +71,17 @@ class DetectionVerdict(NamedTuple):
     r2: float   # Msg5/Msg4 response ratio, clamped to [0, 1]
 
 
-def compute_ratios(n_msg3: int, n_msg4: int, n_msg5: int,
-                   config: DetectorConfig) -> tuple[float, float]:
-    """(r1, r2) with degenerate-denominator rules.
+def classify(n_msg3: int, n_msg4: int, n_msg5: int,
+             config: DetectorConfig) -> tuple[float, float, GnbState]:
+    """Pure decision rule over one window's counts: (r1, r2, state).
 
-    Fewer than MIN_MSG3_FOR_R1 Msg3s -> r1 reads as 1 (idle). No Msg4 and no Msg5 reads
-    as gNB silence (r2 = 0) when the Msg3 count is abnormal, idle (r2 = 1)
-    otherwise. Both ratios are clamped to [0, 1].
+    The ratios have degenerate-denominator rules. Fewer than MIN_MSG3_FOR_R1 Msg3s ->
+    r1 reads as 1 (idle). No Msg4 and no Msg5 reads as gNB silence (r2 = 0) when the
+    Msg3 count is abnormal, idle (r2 = 1) otherwise. Both ratios are clamped to [0, 1].
+
+    Order matters: the watermark guard suppresses verdicts on tiny samples,
+    and gNB silence is checked before the ratio rules so a fully silent gNB
+    reads as Overload rather than Attack.
     """
     if n_msg3 < MIN_MSG3_FOR_R1:
         r1 = 1.0
@@ -90,18 +94,6 @@ def compute_ratios(n_msg3: int, n_msg4: int, n_msg5: int,
             r2 = 1.0
     else:
         r2 = min(1.0, n_msg5 / n_msg4)
-    return r1, r2
-
-
-def classify(n_msg3: int, n_msg4: int, n_msg5: int,
-             config: DetectorConfig) -> tuple[float, float, GnbState]:
-    """Pure decision rule over one window's counts: (r1, r2, state).
-
-    Order matters: the watermark guard suppresses verdicts on tiny samples,
-    and gNB silence is checked before the ratio rules so a fully silent gNB
-    reads as Overload rather than Attack.
-    """
-    r1, r2 = compute_ratios(n_msg3, n_msg4, n_msg5, config)
     if n_msg3 <= config.msg3_watermark:
         state = _NORMAL
     elif n_msg4 == 0:
@@ -164,7 +156,7 @@ def _verdict(now: int, windows: tuple[deque, ...], config: DetectorConfig,
 
 def run_stream(events: Iterable[RrcEvent],
                config: Optional[DetectorConfig] = None) -> list[DetectionVerdict]:
-    """iter_verdicts as a list."""
+    """iter_verdicts as a list; not re-exported, it stays for the benchmark (ROADMAP item 5)."""
     return list(iter_verdicts(events, config))
 
 

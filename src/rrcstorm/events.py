@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
@@ -67,15 +66,6 @@ class RrcEvent(NamedTuple):
     cause: Optional[EstablishmentCause] = None
 
 
-@dataclass(frozen=True)
-class StreamViolation:
-    index: int
-    reason: str
-
-    def __str__(self) -> str:
-        return f"event {self.index}: {self.reason}"
-
-
 def _event_refusal(t, kind, ue, cause, prev_t: int) -> Optional[str]:
     """Why a trace may not hold the event (t, kind, ue, cause) after one at prev_t, or
     None. The one rule, in read_trace's order and words: t an int >= 0 that did not
@@ -97,18 +87,19 @@ def _event_refusal(t, kind, ue, cause, prev_t: int) -> Optional[str]:
     return None if type(cause) is EstablishmentCause else f"unknown cause {cause!r}"
 
 
-def validate_stream(events: Iterable[RrcEvent]) -> Optional[StreamViolation]:
-    """Return the first violation in an ordered event stream, or None if ok.
+def validate_stream(events: Iterable[RrcEvent]) -> Optional[str]:
+    """The first violation in an ordered event stream as "event i: reason", or None if ok.
 
     Violations are data findings, not failures: a negative timestamp, a timestamp
     regression between adjacent events, a cause missing on MSG3 or present on any
     other event, each in read_trace's words. Kinds, refs and cause types are tested
     only on an event that fails one of these, which then gets its first fault.
+    Not re-exported: summarize_trace is the public check; this stays for the benchmark.
     """
     prev_t = 0    # a first event below 0 is negative, never a regression
     for i, ev in enumerate(events):
         t = ev.t
         if t < prev_t or (ev.kind is _MSG3) is (ev.cause is None):
-            return StreamViolation(i, _event_refusal(*ev, prev_t))
+            return f"event {i}: {_event_refusal(*ev, prev_t)}"
         prev_t = t
     return None

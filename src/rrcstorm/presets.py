@@ -28,9 +28,10 @@ ONSET_JITTER_MS = 200
 HIGHLOAD_RATE_PER_S = 80.0
 HIGHLOAD_OCCUPANCY_PCT = 75
 
-#: Background sessions are short-held: at most 3 arrivals per 100 ms tick
-#: alive for ~211 ms keeps worst-case occupancy at 9 of 16 contexts, so a
-#: normal run never rejects.
+#: Background sessions are short-held: at most 3 arrivals per 100 ms tick, each
+#: holding its context 211 ms (1 + 10 + 200: Msg4 delay, Msg5 delay, hold), so at
+#: most 9 contexts are alive at once and a normal run never rejects from 9 contexts
+#: up. The background does not scale with --capacity: below 9 a run can reject.
 BACKGROUND_HOLD_MS = 200
 
 #: The pre-existing occupancies, in percent of capacity, of the attack presets.

@@ -434,7 +434,7 @@ def summarize_trace(trace: list[RrcEvent], waiting_time_ms: int) -> SimResult:
             rejected_first_period=rej_fp,
             availability_first_period_pct=availability_rate(acc_fp, rej_fp),
         )
-    raise ValueError(str(validate_stream(trace)))
+    raise ValueError(validate_stream(trace))
 
 
 def run(scenario: ScenarioSpec, gnb: GnbConfig) -> SimResult:

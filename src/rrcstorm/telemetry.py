@@ -300,7 +300,7 @@ def iter_trace(source: Source, *, kinds: Iterable[MsgKind] = tuple(MsgKind)
 
 
 def read_trace(source: Source) -> list[RrcEvent]:
-    """iter_trace as a list."""
+    """iter_trace as a list; not re-exported, it stays for the benchmark (ROADMAP item 5)."""
     return list(iter_trace(source))
 
 

@@ -22,13 +22,12 @@ from rrcstorm import (
     MsgKind,
     RrcEvent,
     SimResult,
-    StreamViolation,
     TraceParseError,
     classify,
-    read_trace,
     simnet,
 )
 from rrcstorm.analytic import _round_half_up
+from rrcstorm.telemetry import read_trace
 
 CAUSES = list(EstablishmentCause)
 KINDS = list(MsgKind)
@@ -112,19 +111,19 @@ def occupancy_timeline(trace, preconnected: int) -> list[int]:
     return timeline
 
 
-def reference_validate_stream(events: Iterable[RrcEvent]) -> Optional[StreamViolation]:
+def reference_validate_stream(events: Iterable[RrcEvent]) -> Optional[str]:
     """events.validate_stream as four checks per event, in the order and the words
-    read_trace reports them."""
+    read_trace reports them, each after "event i: "."""
     prev_t = None
     for i, ev in enumerate(events):
         if ev.t < 0:
-            return StreamViolation(i, f"'t' must be a non-negative integer, got {ev.t}")
+            return f"event {i}: 't' must be a non-negative integer, got {ev.t}"
         if prev_t is not None and ev.t < prev_t:
-            return StreamViolation(i, f"timestamp regression {prev_t} -> {ev.t}")
+            return f"event {i}: timestamp regression {prev_t} -> {ev.t}"
         if ev.kind is MsgKind.MSG3 and ev.cause is None:
-            return StreamViolation(i, "msg3 record without cause")
+            return f"event {i}: msg3 record without cause"
         if ev.kind is not MsgKind.MSG3 and ev.cause is not None:
-            return StreamViolation(i, f"cause not allowed on {ev.kind.value}")
+            return f"event {i}: cause not allowed on {ev.kind.value}"
         prev_t = ev.t
     return None
 

@@ -18,13 +18,12 @@ from rrcstorm import (
     ScenarioSpec,
     TruncatedPoissonSpec,
     full_model,
-    read_trace,
     run,
-    run_stream,
     truncated_poisson_sample,
     write_trace,
     write_verdicts,
 )
+from rrcstorm.detector import run_stream
 from rrcstorm.harness import ExperimentConfig, latency_campaign, table1_theoretical_row
 from rrcstorm.presets import (
     attack_scenario,
@@ -33,6 +32,7 @@ from rrcstorm.presets import (
     highload_scenario,
     normal_scenario,
 )
+from rrcstorm.telemetry import read_trace
 
 from helpers import random_trace
 

@@ -18,9 +18,8 @@ from rrcstorm import (
     detection_latency,
     iter_verdicts,
     run,
-    run_stream,
 )
-from rrcstorm.detector import compute_ratios
+from rrcstorm.detector import run_stream
 from rrcstorm.presets import (
     attack_scenario,
     default_detector,
@@ -38,21 +37,21 @@ def state_of(n3, n4, n5, config=None):
 
 class TestRatios:
     def test_all_setups_complete(self):
-        assert compute_ratios(10, 10, 10, DetectorConfig()) == (1.0, 1.0)
+        assert classify(10, 10, 10, DetectorConfig())[:2] == (1.0, 1.0)
 
     def test_silent_gnb_under_flood(self):
-        assert compute_ratios(80, 16, 0, DetectorConfig()) == (0.0, 0.0)
+        assert classify(80, 16, 0, DetectorConfig())[:2] == (0.0, 0.0)
 
     def test_surge_with_served_ues_completing(self):
-        r1, r2 = compute_ratios(80, 16, 16, DetectorConfig())
+        r1, r2 = classify(80, 16, 16, DetectorConfig())[:2]
         assert r1 == pytest.approx(0.2)
         assert r2 == 1.0
 
     def test_idle_window_reads_as_complete(self):
-        assert compute_ratios(0, 0, 0, DetectorConfig()) == (1.0, 1.0)
+        assert classify(0, 0, 0, DetectorConfig())[:2] == (1.0, 1.0)
 
     def test_no_msg4_no_msg5_above_watermark_is_silence(self):
-        r1, r2 = compute_ratios(80, 0, 0, DetectorConfig())
+        r1, r2 = classify(80, 0, 0, DetectorConfig())[:2]
         assert (r1, r2) == (0.0, 0.0)
 
     @pytest.mark.parametrize("counts,ratios", [
@@ -60,10 +59,10 @@ class TestRatios:
         ((3, 3, 0), (0.0, 0.0)),   # from 3 Msg3s on r1 is the real ratio
     ])
     def test_r1_cutoff_at_three_msg3(self, counts, ratios):
-        assert compute_ratios(*counts, DetectorConfig()) == ratios
+        assert classify(*counts, DetectorConfig())[:2] == ratios
 
     def test_ratios_clamped_to_unit_interval(self):
-        r1, r2 = compute_ratios(5, 2, 9, DetectorConfig())
+        r1, r2 = classify(5, 2, 9, DetectorConfig())[:2]
         assert r1 == 1.0
         assert r2 == 1.0
 
@@ -96,7 +95,9 @@ class TestClassify:
             n4 = rng.randrange(0, n3 + 1)
             n5 = rng.randrange(0, n4 + 1)
             r1, r2, state = classify(n3, n4, n5, config)
-            assert (r1, r2) == compute_ratios(n3, n4, n5, config)
+            # n5 <= n4 <= n3: the ratios' rules without their clamps and the Msg5-only case.
+            assert r1 == (n5 / n3 if n3 >= 3 else 1.0)
+            assert r2 == (n5 / n4 if n4 else 0.0 if n3 > config.msg3_watermark else 1.0)
             if state is GnbState.ATTACK:
                 assert r1 < 0.5 and r2 < 0.5
             if state is GnbState.HIGH_LOAD:

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from rrcstorm import EstablishmentCause, MsgKind, RrcEvent, validate_stream
+from rrcstorm import EstablishmentCause, MsgKind, RrcEvent
+from rrcstorm.events import validate_stream
 
 from helpers import any_order_traces, first_refusal, random_trace, reference_validate_stream
 
@@ -23,28 +24,23 @@ def test_ordered_pair_ok():
 
 def test_timestamp_regression_reported_at_index():
     stream = [RrcEvent(5, MsgKind.MSG4, "u0"), msg3(0)]
-    violation = validate_stream(stream)
-    assert violation is not None
-    assert violation.index == 1
-    assert "regression" in violation.reason
+    assert validate_stream(stream) == "event 1: timestamp regression 5 -> 0"
 
 
 def test_msg3_without_cause_is_violation():
     violation = validate_stream([RrcEvent(0, MsgKind.MSG3, "u0")])
-    assert violation is not None
-    assert "cause" in violation.reason
+    assert violation == "event 0: msg3 record without cause"
 
 
 def test_cause_on_non_msg3_is_violation():
     violation = validate_stream(
         [RrcEvent(0, MsgKind.MSG4, "u0", EstablishmentCause.MO_DATA)])
-    assert violation is not None
+    assert violation == "event 0: cause not allowed on msg4"
 
 
 def test_negative_timestamp_is_violation():
     violation = validate_stream([msg3(-1)])
-    assert violation is not None
-    assert violation.index == 0
+    assert violation == "event 0: 't' must be a non-negative integer, got -1"
 
 
 def test_seven_message_kinds():
@@ -78,4 +74,5 @@ def test_validate_stream_equals_reference(events):
     violation = validate_stream(events)
     assert violation == reference_validate_stream(events)
     # One rule: the reader refuses the same event of the stream's lines, in the same words.
-    assert (violation and (violation.index, violation.reason)) == first_refusal(events)
+    refusal = first_refusal(events)
+    assert violation == (refusal and "event {}: {}".format(*refusal))

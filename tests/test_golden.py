@@ -18,13 +18,12 @@ from rrcstorm import (
     ScenarioKind,
     ScenarioSpec,
     TruncatedPoissonSpec,
-    read_trace,
     run,
-    run_stream,
     write_trace,
     write_verdicts,
 )
 from rrcstorm.cli import main
+from rrcstorm.detector import run_stream
 from rrcstorm.presets import (
     PRESET_NAMES,
     default_detector,
@@ -33,6 +32,7 @@ from rrcstorm.presets import (
     normal_scenario,
     scenario_from_preset,
 )
+from rrcstorm.telemetry import read_trace
 
 DATA = Path(__file__).parent / "data"
 

@@ -16,7 +16,6 @@ from rrcstorm import (
     GnbState,
     TraceParseError,
     harness,
-    read_trace,
     read_verdicts,
     run,
     telemetry,
@@ -44,7 +43,7 @@ from rrcstorm.presets import (
     occupied_contexts,
     scenario_from_preset,
 )
-from rrcstorm.telemetry import _CHUNK_LINES
+from rrcstorm.telemetry import _CHUNK_LINES, read_trace
 
 from helpers import child_env
 
@@ -746,6 +745,14 @@ def test_latency_returns_an_int(tmp_path, scenario, code):
         [sys.executable, "-c", script, "latency", "--scenario", scenario, "--out", str(tmp_path)],
         capture_output=True, text=True, env=child_env(), timeout=60)
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, repr(code))
+
+
+def test_latency_help_states_its_exit_status(capsys):
+    with pytest.raises(SystemExit):
+        main(["latency", "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("Exits 1, with no error: line, when any run never reaches its target state "
+            "(every paper-normal run), and 2 on an error.") in help_text
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["caller-collects", "caller-paused"])

@@ -10,12 +10,12 @@ from rrcstorm import (
     GnbState,
     MsgKind,
     RrcEvent,
-    read_trace,
     run,
-    run_stream,
     write_trace,
 )
+from rrcstorm.detector import run_stream
 from rrcstorm.presets import PRESET_NAMES, default_detector, default_gnb, scenario_from_preset
+from rrcstorm.telemetry import read_trace
 
 EVENT = RrcEvent(5, MsgKind.MSG3, "mue-1", EstablishmentCause.EMERGENCY)
 DEFAULTED_EVENT = RrcEvent(7, MsgKind.MSG4, "mue-1")

@@ -23,8 +23,8 @@ from rrcstorm import (
     simnet,
     summarize_trace,
     truncated_poisson_sample,
-    validate_stream,
 )
+from rrcstorm.events import validate_stream
 from rrcstorm.presets import PRESET_NAMES, default_gnb, normal_scenario, scenario_from_preset
 
 from helpers import (
@@ -98,6 +98,13 @@ class TestAttackRun:
         assert result.drop_time_ms is None
         assert result.rejected_msg3 == 0
         assert not any(e.kind is MsgKind.MSG3_REJECTED for e in result.trace)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_normal_background_never_rejects_from_nine_contexts(self, seed):
+        # At most 3 arrivals per 100 ms tick, each holding its context 211 ms (1 + 10 +
+        # 200): at most 9 contexts are alive at once, so 9 never reject and 8 can.
+        assert run(normal_scenario(seed), GnbConfig(capacity=9)).rejected_msg3 == 0
+        assert run(normal_scenario(seed), GnbConfig(capacity=8)).rejected_msg3 > 0
 
     def test_attacker_never_sends_msg5(self):
         result = run(attack(), GnbConfig())
@@ -458,7 +465,7 @@ def test_summarize_trace_equals_reference(trace, waiting_time_ms):
     else:
         with pytest.raises(ValueError) as excinfo:
             summarize_trace(trace, waiting_time_ms)
-        assert str(excinfo.value) == str(violation)
+        assert str(excinfo.value) == violation
 
 
 def test_summarize_trace_refuses_a_regressing_trace():

@@ -21,17 +21,17 @@ from rrcstorm import (
     TraceParseError,
     iter_trace,
     iter_verdicts,
-    read_trace,
     read_verdicts,
-    run_stream,
     telemetry,
     write_trace,
     write_verdicts,
 )
+from rrcstorm.detector import run_stream
 from rrcstorm.telemetry import (
     _CHUNK_LINES,
     _TEXT,
     _parse_trace_record,
+    read_trace,
     trace_line,
     verdict_line,
 )
