@@ -162,8 +162,9 @@ def run_stream(events: Iterable[RrcEvent],
 
 def detection_latency(verdicts: Iterable[DetectionVerdict],
                       onset_ms: int, target: GnbState) -> Optional[int]:
-    """ms from onset to the first verdict in the target state; None if never."""
+    """ms from onset to the first verdict in the target state at or after onset;
+    None if never."""
     for verdict in verdicts:
-        if verdict.state is target:
+        if verdict.state is target and verdict.t_ms >= onset_ms:
             return verdict.t_ms - onset_ms
     return None

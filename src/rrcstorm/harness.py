@@ -1,12 +1,13 @@
-"""Experiment drivers behind the CLI: scenario runs, the theory-vs-simulation
-comparison table, seeded latency campaigns, and offline trace replay.
+"""Experiment drivers behind the CLI: scenario runs (cmd_run), the theory-vs-simulation
+comparison table (cmd_table1, over the floods that table1_scenario builds), seeded
+latency campaigns (latency_campaign), and offline trace replay (cmd_replay).
 
 The repetitions of run and latency are independent seeded engine runs, and
 their rows are written in seed order. Each repetition is reduced to its row in
 one call (run writes its trace and verdict files there), so they hold one
 repetition's trace and verdicts at a time, freed before the next run starts.
-table1 runs each occupancy's flood once: its scenario has no seeded draw that a
-row can see.
+table1 runs each occupancy's flood once: its scenario has no onset jitter and no
+background, so its seed only picks UE refs, which no row holds.
 """
 from __future__ import annotations
 
@@ -71,65 +72,16 @@ class TableOneRow:
 TABLE1_OCCUPANCIES = presets._ATTACK_OCCUPANCIES
 
 
-def table1_theoretical_row(occupancy_pct: int,
-                           capacity: int = GnbConfig.capacity,
-                           rate_per_s: float = presets.ATTACK_RATE_PER_S,
-                           waiting_time_ms: float = WAITING_TIME_EFFECTIVE_MS,
-                           ) -> TableOneRow:
-    inputs = AnalyticInputs(
-        waiting_time_ms=waiting_time_ms,
-        capacity=capacity,
-        attack_rate_per_s=rate_per_s,
-        connected_ues=presets.occupied_contexts(capacity, occupancy_pct),
-    )
-    out = analytic.full_model(inputs)
-    return TableOneRow(
-        occupancy_pct=occupancy_pct,
-        source="theoretical",
-        accepted=out.accepted,
-        rejected=out.rejected,
-        drop_time_s=out.drop_time_ms / 1000.0,
-        accept_duration_s=out.accept_duration_ms / 1000.0,
-        reject_duration_s=out.reject_duration_ms / 1000.0,
-        availability_pct=out.availability_pct,
-    )
-
-
-def table1_scenario(occupancy_pct: int, seed: int,
-                    capacity: int = GnbConfig.capacity,
-                    rate_per_s: float = presets.ATTACK_RATE_PER_S,
-                    waiting_time_ms: int = GnbConfig.waiting_time_ms) -> ScenarioSpec:
+def table1_scenario(occupancy_pct: int, seed: int, gnb: GnbConfig = GnbConfig(),
+                    rate_per_s: float = presets.ATTACK_RATE_PER_S) -> ScenarioSpec:
     # Cold-start flood covering one full waiting period, no onset delay, so
     # the measured first period lines up with the closed-form single period.
     return ScenarioSpec(
         kind=ScenarioKind.ATTACK,
-        duration_ms=waiting_time_ms + 100,
+        duration_ms=gnb.waiting_time_ms + 100,
         seed=seed,
-        preconnected_bue=presets.occupied_contexts(capacity, occupancy_pct),
+        preconnected_bue=presets.occupied_contexts(gnb.capacity, occupancy_pct),
         attacker_rate_per_s=rate_per_s,
-    )
-
-
-def table1_simulated_row(occupancy_pct: int, gnb: GnbConfig,
-                         rate_per_s: float = presets.ATTACK_RATE_PER_S) -> TableOneRow:
-    """One flood: table1_scenario has no onset jitter and no background, so its seed
-    only picks UE refs, which no row holds, and every seed gives this row."""
-    r = run(table1_scenario(occupancy_pct, 0, gnb.capacity, rate_per_s, gnb.waiting_time_ms),
-            gnb)
-    if r.drop_time_ms is None:
-        raise ValueError(f"flood at {occupancy_pct}% occupancy did not saturate")
-    drop_s = r.drop_time_ms / 1000.0
-    return TableOneRow(
-        occupancy_pct=occupancy_pct,
-        source="simulated",
-        accepted=r.accepted_first_period,
-        rejected=r.rejected_first_period,
-        drop_time_s=drop_s,
-        accept_duration_s=drop_s,
-        # With no release after the first reject the pool rejects to the period's end.
-        reject_duration_s=(r.duration_reject_ms if r.duration_reject_ms is not None
-                           else gnb.waiting_time_ms - r.drop_time_ms) / 1000.0,
-        availability_pct=r.availability_first_period_pct,
     )
 
 
@@ -141,12 +93,27 @@ def cmd_table1(gnb: GnbConfig = GnbConfig(), out_path: Optional[Path] = None,
     the reference results show over the nominal one, and the attack rate after
     the engine's Msg1-per-frame clamp.
     """
-    theory_wait_ms = gnb.waiting_time_ms + (WAITING_TIME_EFFECTIVE_MS - WAITING_TIME_NOMINAL_MS)
-    theory_rate = min(rate_per_s, gnb.max_msg1_rate_per_s)
+    offset_ms = WAITING_TIME_EFFECTIVE_MS - WAITING_TIME_NOMINAL_MS
+    model = AnalyticInputs(waiting_time_ms=gnb.waiting_time_ms + offset_ms, capacity=gnb.capacity,
+                           attack_rate_per_s=min(rate_per_s, gnb.max_msg1_rate_per_s))
     rows = []
     for pct in TABLE1_OCCUPANCIES:
-        rows.append(table1_theoretical_row(pct, gnb.capacity, theory_rate, theory_wait_ms))
-        rows.append(table1_simulated_row(pct, gnb, rate_per_s))
+        scenario = table1_scenario(pct, 0, gnb, rate_per_s)
+        out = analytic.full_model(
+            dataclasses.replace(model, connected_ues=scenario.preconnected_bue))
+        rows.append(TableOneRow(pct, "theoretical", out.accepted, out.rejected,
+                                out.drop_time_ms / 1000.0, out.accept_duration_ms / 1000.0,
+                                out.reject_duration_ms / 1000.0, out.availability_pct))
+        r = run(scenario, gnb)
+        if r.drop_time_ms is None:
+            raise ValueError(f"flood at {pct}% occupancy did not saturate")
+        drop_s = r.drop_time_ms / 1000.0
+        # With no release after the first reject the pool rejects to the period's end.
+        reject_ms = (r.duration_reject_ms if r.duration_reject_ms is not None
+                     else gnb.waiting_time_ms - r.drop_time_ms)
+        rows.append(TableOneRow(pct, "simulated", r.accepted_first_period,
+                                r.rejected_first_period, drop_s, drop_s, reject_ms / 1000.0,
+                                r.availability_first_period_pct))
     if out_path is not None:
         _write_csv(out_path, ["occupancy_pct", "source", "accepted_msg3", "rejected_msg3",
                               "drop_time_s", "accept_duration_s", "reject_duration_s",

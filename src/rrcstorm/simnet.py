@@ -124,7 +124,9 @@ class ScenarioSpec:
     onset_ms plus a seed-dependent uniform jitter of up to onset_jitter_ms,
     and stops generating at duration_ms; in-flight handshakes and context
     timers then run to completion so every granted context resolves within
-    the trace. Background arrivals, when configured, run from t=0.
+    the trace. The latest onset, onset_ms + onset_jitter_ms - 1 (onset_ms with
+    no jitter), must come before duration_ms. Background arrivals, when
+    configured, run from t=0.
 
     benign_hold_ms: how long a benign UE stays connected before releasing its
     context; None means it never disconnects within the run.
@@ -164,6 +166,9 @@ class ScenarioSpec:
                 raise ScenarioError(f"{kind.value} scenario needs {name} > 0, got None")
         if self.kind is ScenarioKind.NORMAL and self.background is None:
             raise ScenarioError("normal scenario needs a background spec")
+        if (latest := self.onset_ms + max(self.onset_jitter_ms - 1, 0)) >= self.duration_ms:
+            raise ScenarioError(f"latest onset ({latest} ms) must be < duration_ms "
+                                f"({self.duration_ms})")
 
 
 @dataclass(frozen=True)
@@ -349,8 +354,6 @@ class _Engine:
         onset = self.scenario.onset_ms
         if self.scenario.onset_jitter_ms:
             onset += self.rng.randrange(self.scenario.onset_jitter_ms)
-        if onset >= self.scenario.duration_ms:
-            raise ScenarioError("onset lies beyond duration_ms")
 
         cap = self.gnb.max_msg1_rate_per_s
         if self.scenario.kind is ScenarioKind.ATTACK:

@@ -24,7 +24,7 @@ from rrcstorm import (
     write_verdicts,
 )
 from rrcstorm.detector import run_stream
-from rrcstorm.harness import ExperimentConfig, latency_campaign, table1_theoretical_row
+from rrcstorm.harness import ExperimentConfig, cmd_table1, latency_campaign
 from rrcstorm.presets import (
     attack_scenario,
     default_detector,
@@ -63,8 +63,9 @@ def test_criterion_1_analytic_table_reproduction():
     }
     start = time.perf_counter()
     failures = []
+    theory = {r.occupancy_pct: r for r in cmd_table1() if r.source == "theoretical"}
     for pct, (acc, rej, drop_s, avail) in expected.items():
-        row = table1_theoretical_row(pct)
+        row = theory[pct]
         if row.accepted != acc:
             failures.append(f"{pct}%: accepted {row.accepted} != {acc}")
         if abs(row.drop_time_s - drop_s) > 0.002:

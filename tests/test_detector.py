@@ -254,6 +254,14 @@ class TestDetectionLatency:
         verdicts = [self._verdict(t, GnbState.NORMAL) for t in (625, 650)]
         assert detection_latency(verdicts, 0, GnbState.ATTACK) is None
 
+    def test_verdicts_before_the_onset_do_not_count(self):
+        verdicts = [self._verdict(975, GnbState.NORMAL),
+                    self._verdict(1000, GnbState.ATTACK),
+                    self._verdict(1025, GnbState.NORMAL)]
+        assert detection_latency(verdicts, 1000, GnbState.ATTACK) == 0
+        assert detection_latency(verdicts, 1000, GnbState.NORMAL) == 25
+        assert detection_latency(verdicts[:2], 1001, GnbState.ATTACK) is None
+
     def test_highload_latency(self):
         verdicts = [self._verdict(1131, GnbState.HIGH_LOAD)]
         assert detection_latency(verdicts, 1000, GnbState.HIGH_LOAD) == 131

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -21,19 +22,21 @@ from rrcstorm import (
     telemetry,
     write_trace,
 )
+from rrcstorm.analytic import WAITING_TIME_EFFECTIVE_MS, AnalyticInputs, full_model
 from rrcstorm.cli import FLAG_FIELDS, ConfigError, load_config_file, main
 from rrcstorm.harness import (
     ExperimentConfig,
     RunArtifacts,
+    TABLE1_OCCUPANCIES,
     _write_csv,
     cmd_replay,
     cmd_run,
     cmd_table1,
     latency_campaign,
     table1_scenario,
-    table1_theoretical_row,
 )
 from rrcstorm.presets import (
+    ATTACK_RATE_PER_S,
     PRESET_NAMES,
     attack_scenario,
     default_detector,
@@ -46,6 +49,20 @@ from rrcstorm.presets import (
 from rrcstorm.telemetry import _CHUNK_LINES, read_trace
 
 from helpers import child_env
+
+
+def table1_rows(*args, **kwargs):
+    """cmd_table1's rows keyed by (occupancy_pct, source)."""
+    return {(r.occupancy_pct, r.source): r for r in cmd_table1(*args, **kwargs)}
+
+
+def model_row(pct, waiting_time_ms=WAITING_TIME_EFFECTIVE_MS, rate_per_s=ATTACK_RATE_PER_S):
+    """The closed form at the paper gNB's 16 contexts, as a table1 row's numeric fields."""
+    out = full_model(AnalyticInputs(waiting_time_ms, 16, rate_per_s,
+                                    connected_ues=occupied_contexts(16, pct)))
+    return (out.accepted, out.rejected, out.drop_time_ms / 1000.0,
+            out.accept_duration_ms / 1000.0, out.reject_duration_ms / 1000.0,
+            out.availability_pct)
 
 
 def experiment(scenario, seeds, out_dir, name="exp"):
@@ -61,20 +78,36 @@ def test_occupancy_rounds_half_to_even_everywhere(capacity, pct, held):
     assert occupied_contexts(capacity, pct) == held
     if capacity == GnbConfig.capacity:
         assert attack_scenario(pct, 1).preconnected_bue == held
-    assert table1_scenario(pct, 1, capacity).preconnected_bue == held
-    assert table1_theoretical_row(pct, capacity).accepted == capacity - held
+    gnb = GnbConfig(capacity=capacity)
+    assert table1_scenario(pct, 1, gnb).preconnected_bue == held
+    if pct in TABLE1_OCCUPANCIES:
+        rows = table1_rows(gnb)
+        for source in ("theoretical", "simulated"):
+            assert rows[(pct, source)].accepted == capacity - held
+
+
+# Pinned table1.csv bytes per flag set (flags split on spaces).
+TABLE1_CSV_DIGESTS = {
+    "": "aa12a062700b01e3144eed99d0ba005655eca24f7e39450e8ba53100a9a65714",
+    "--capacity 1": "0c4f241ad1c5b5c5a105ea9ccb1a6bc320fd0f9cfac9a1cbcb3a894ab5ce7795",
+    "--capacity 64 --waiting-time-ms 1000":
+        "18da42034bad857715fea5c5cd786f1345935f072770ba501208edc685a63e06",
+    "--waiting-time-ms 3000": "3b87da707883b5e0616f0efd6245ce0c2cf49f917415fcf3c06327df4dd494fc",
+    "--attack-rate 50": "b42a472a429dbe5952ca6f063184a6d1b7bba529ad552ca9ef7fa7737cec0d83",
+    "--attack-rate 250": "44c7fab9c33571e4b439e7643fedfdcbcfe88c39fb5c2d12bbdd1b7338205275",
+}
 
 
 class TestTableOne:
     def test_theoretical_empty_gnb_row(self):
-        row = table1_theoretical_row(0)
+        row = table1_rows()[(0, "theoretical")]
         assert row.accepted == 16
         assert abs(row.rejected - 346) <= 6
         assert row.drop_time_s == pytest.approx(0.121, abs=0.001)
         assert row.availability_pct == pytest.approx(4.42, abs=0.1)
 
     def test_theoretical_three_quarter_row(self):
-        row = table1_theoretical_row(75)
+        row = table1_rows()[(75, "theoretical")]
         assert row.accepted == 4
         assert row.drop_time_s == pytest.approx(0.030, abs=0.001)
         assert row.availability_pct == pytest.approx(1.1, abs=0.1)
@@ -104,8 +137,7 @@ class TestTableOne:
         # drop time within one attack period of the closed form; counts and
         # availability within the spread left by the ms grid
         period_s = 1 / 132.07
-        rows = cmd_table1()
-        by_key = {(r.occupancy_pct, r.source): r for r in rows}
+        by_key = table1_rows()
         for pct, accepted in ((0, 16), (25, 12), (50, 8), (75, 4)):
             theo = by_key[(pct, "theoretical")]
             sim = by_key[(pct, "simulated")]
@@ -307,11 +339,10 @@ class TestCli:
         assert main(["table1", "--seed", "1", "--out", str(tmp_path / "default")]) == 0
         assert main(["table1", "--seed", "1", "--attack-rate", "50",
                      "--out", str(tmp_path / "slow")]) == 0
-        rows = cmd_table1(out_path=tmp_path / "harness.csv", rate_per_s=50.0)
+        rows = table1_rows(out_path=tmp_path / "harness.csv", rate_per_s=50.0)
         slow = (tmp_path / "slow" / "table1.csv").read_bytes()
         assert slow == (tmp_path / "harness.csv").read_bytes()
         assert slow != (tmp_path / "default" / "table1.csv").read_bytes()
-        rows = {(r.occupancy_pct, r.source): r for r in rows}
         for pct in (0, 25, 50, 75):
             free = 16 - round(16 * pct / 100)
             assert rows[(pct, "theoretical")].drop_time_s == pytest.approx(free / 50)
@@ -327,11 +358,16 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "table1.csv").exists()
 
+    @pytest.mark.parametrize("flags", TABLE1_CSV_DIGESTS)
+    def test_table1_csv_bytes_pinned(self, tmp_path, capsys, flags):
+        assert main(["table1", *flags.split(), "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "table1.csv").read_bytes()).hexdigest()
+        assert digest == TABLE1_CSV_DIGESTS[flags]
+
     def test_table1_default_csv_bytes_unchanged(self, tmp_path, capsys):
         assert main(["table1", "--seed", "1", "--out", str(tmp_path)]) == 0
         csv = (tmp_path / "table1.csv").read_bytes()
-        assert hashlib.sha256(csv).hexdigest() == (
-            "aa12a062700b01e3144eed99d0ba005655eca24f7e39450e8ba53100a9a65714")
+        assert hashlib.sha256(csv).hexdigest() == TABLE1_CSV_DIGESTS[""]
         assert b"0,theoretical,16.0,348.0,0.121,0.121,2.636,4.40\r\n" in csv
 
     @pytest.mark.parametrize("flags", [["--seed", "777", "--reps", "25"],
@@ -340,17 +376,15 @@ class TestCli:
         # One flood per occupancy: no seed changes a row, and --reps runs no extra flood.
         assert main(["table1", *flags, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "table1.csv").read_bytes()).hexdigest() == (
-            "aa12a062700b01e3144eed99d0ba005655eca24f7e39450e8ba53100a9a65714")
+            TABLE1_CSV_DIGESTS[""])
 
     def test_table1_theory_follows_waiting_time(self, tmp_path, capsys):
         assert main(["table1", "--seed", "1", "--waiting-time-ms", "3000",
                      "--out", str(tmp_path)]) == 0
-        rows = cmd_table1(GnbConfig(waiting_time_ms=3000))
-        rows = {(r.occupancy_pct, r.source): r for r in rows}
+        rows = table1_rows(GnbConfig(waiting_time_ms=3000))
         for pct in (0, 25, 50, 75):
             # The reference offset of the effective over the nominal waiting time, 57 ms.
-            assert rows[(pct, "theoretical")] == table1_theoretical_row(
-                pct, waiting_time_ms=3057.0)
+            assert astuple(rows[(pct, "theoretical")])[2:] == model_row(pct, 3057.0)
             gap = (rows[(pct, "theoretical")].reject_duration_s
                    - rows[(pct, "simulated")].reject_duration_s)
             assert gap == pytest.approx(0.057, abs=0.001)
@@ -360,12 +394,11 @@ class TestCli:
     def test_table1_theory_follows_the_rate_clamp(self, tmp_path, capsys):
         assert main(["table1", "--seed", "1", "--attack-rate", "250",
                      "--out", str(tmp_path)]) == 0
-        rows = cmd_table1(rate_per_s=250.0)
-        rows = {(r.occupancy_pct, r.source): r for r in rows}
+        rows = table1_rows(rate_per_s=250.0)
         clamped = default_gnb().max_msg1_rate_per_s    # one Msg1 per 7 ms frame
         for pct in (0, 25, 50, 75):
             theory = rows[(pct, "theoretical")]
-            assert theory == table1_theoretical_row(pct, rate_per_s=clamped)
+            assert astuple(theory)[2:] == model_row(pct, rate_per_s=clamped)
             assert round(theory.drop_time_s, 3) == round(rows[(pct, "simulated")].drop_time_s, 3)
         assert "0,theoretical,16.0,378.0,0.112,0.112,2.645,4.06" in (
             tmp_path / "table1.csv").read_text()
@@ -735,6 +768,29 @@ def test_latency_on_a_scenario_with_no_msg3_is_one_error_line(tmp_path):
     proc = run_cli(["latency", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert (proc.returncode, proc.stderr) == (2, "error: seed 1: scenario produced no Msg3\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_jittered_onset_past_the_duration_is_refused_with_the_config(tmp_path):
+    # Seeds 1-4 draw an onset inside the run; a later seed could draw one past its end.
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps({"scenario": {
+        "kind": "attack", "duration_ms": 1000, "attacker_rate_per_s": 132.07,
+        "onset_ms": 900, "onset_jitter_ms": 200}}))
+    proc = run_cli(["run", "--scenario", str(path), "--seed", "1", "--reps", "6",
+                    "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: {path}: scenario: latest onset (1099 ms) must be < duration_ms (1000)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_latency_counts_no_verdict_from_before_the_onset(tmp_path, capsys):
+    # Normal verdicts fill the quiet second before the storm; only those from its onset count.
+    assert main(["latency", "--scenario", "paper-attack-0", "--target", "normal",
+                 "--reps", "3", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "paper-attack-0-latency.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 3
+    assert all(int(row["latency_ms"]) >= 0 for row in rows)
 
 
 @pytest.mark.parametrize("scenario,code", [("paper-attack-0", 0), ("paper-normal", 1)])

@@ -421,6 +421,20 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             run(attack(duration_ms=100, onset_ms=200), GnbConfig())
 
+    @pytest.mark.parametrize("onset_ms,jitter_ms,latest", [(100, 0, 100), (100, 1, 100),
+                                                           (0, 101, 100), (900, 200, 1099)])
+    def test_latest_onset_at_or_past_the_duration_rejected(self, onset_ms, jitter_ms, latest):
+        message = rf"^latest onset \({latest} ms\) must be < duration_ms \(100\)$"
+        with pytest.raises(ScenarioError, match=message):
+            attack(duration_ms=100, onset_ms=onset_ms, onset_jitter_ms=jitter_ms)
+
+    @pytest.mark.parametrize("onset_ms,jitter_ms", [(99, 0), (99, 1), (0, 100), (49, 51)])
+    def test_latest_onset_just_before_the_duration_runs(self, onset_ms, jitter_ms):
+        onsets = {run(attack(duration_ms=100, seed=seed, onset_ms=onset_ms,
+                             onset_jitter_ms=jitter_ms), GnbConfig()).first_msg3_ms
+                  for seed in range(40)}
+        assert max(onsets) <= 99
+
     @pytest.mark.parametrize("field", ["attacker_rate_per_s", "benign_fleet_rate_per_s"])
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_rate_must_be_finite(self, field, rate):
