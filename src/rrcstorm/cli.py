@@ -45,7 +45,8 @@ def _build(cls: type, data: object, where: str, **convert: Callable) -> Any:
 def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfig]:
     """JSON config: {"scenario": {...}, "gnb": {...}, "detector": {...}}.
 
-    "scenario" is required; an omitted "gnb" or "detector" takes the defaults.
+    "scenario" is required; an omitted "gnb" or "detector" takes the defaults, and a
+    scenario with no "seed" takes 1, the base seed of run and latency.
     """
     try:
         data = telemetry._json_object("".join(telemetry._blocks(path)),
@@ -54,6 +55,8 @@ def load_config_file(path: Path) -> tuple[ScenarioSpec, GnbConfig, DetectorConfi
             ScenarioSpec, data["scenario"], "scenario", kind=ScenarioKind,
             attacker_cause=EstablishmentCause,
             background=lambda bg: _build(TruncatedPoissonSpec, bg, "scenario.background"))
+        if "seed" not in data["scenario"]:
+            scenario = dataclasses.replace(scenario, seed=1)
         gnb = _build(GnbConfig, data.get("gnb", {}), "gnb")
         detector = _build(DetectorConfig, data.get("detector", {}), "detector")
     except UnicodeDecodeError as exc:
@@ -89,7 +92,7 @@ def _override(args: argparse.Namespace, **sections: Any) -> list[Any]:
 
 def _resolve(args: argparse.Namespace) -> tuple[ScenarioSpec, GnbConfig, DetectorConfig]:
     if args.scenario in presets.PRESET_NAMES:
-        scenario = presets.scenario_from_preset(args.scenario, args.seed)
+        scenario = presets.scenario_from_preset(args.scenario, 1)
         gnb, detector, where = presets.default_gnb(), presets.default_detector(), ""
     else:
         path = Path(args.scenario)
@@ -98,7 +101,9 @@ def _resolve(args: argparse.Namespace) -> tuple[ScenarioSpec, GnbConfig, Detecto
                 f"unknown scenario {args.scenario!r}: not a preset "
                 f"({', '.join(presets.PRESET_NAMES)}) and no such file")
         scenario, gnb, detector = load_config_file(path)
-        scenario, where = dataclasses.replace(scenario, seed=args.seed), f"{path}: "
+        where = f"{path}: "
+    if args.seed is not None:   # else a preset's 1 or a config file's seed
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     scenario, gnb, detector = _override(args, scenario=scenario, gnb=gnb, detector=detector)
     pct = (args.occupancy_pct if args.occupancy_pct is not None
            else presets._OCCUPANCY_PCT.get(args.scenario))   # None for a config file
@@ -112,16 +117,12 @@ def _resolve(args: argparse.Namespace) -> tuple[ScenarioSpec, GnbConfig, Detecto
     return scenario, gnb, detector
 
 
-def _seeds(args: argparse.Namespace) -> list[int]:
-    return list(range(args.seed, args.seed + args.reps))
-
-
 def _experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
     scenario, gnb, detector = _resolve(args)
     name = args.scenario if args.scenario in presets.PRESET_NAMES else Path(args.scenario).stem
     return harness.ExperimentConfig(
         name=name, scenario=scenario, gnb=gnb, detector=detector,
-        seeds=_seeds(args), out_dir=Path(args.out))
+        seeds=list(range(scenario.seed, scenario.seed + args.reps)), out_dir=Path(args.out))
 
 
 def _add_common(parser: argparse.ArgumentParser, seeds_note: str = "") -> None:
@@ -129,7 +130,7 @@ def _add_common(parser: argparse.ArgumentParser, seeds_note: str = "") -> None:
     parser.add_argument("--capacity", type=int, help="gNB UE-context capacity")
     parser.add_argument("--waiting-time-ms", type=int, help="pending-context hold time")
     parser.add_argument("--attack-rate", type=float, help="attacker Msg3 rate per second")
-    parser.add_argument("--seed", type=int, default=1, help="base RNG seed" + seeds_note)
+    parser.add_argument("--seed", type=int, help="base RNG seed" + seeds_note)
     parser.add_argument("--reps", type=int, default=1,
                         help="number of seeded repetitions" + seeds_note)
     parser.add_argument("--out", default="out", help="output directory")

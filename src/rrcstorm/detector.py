@@ -142,10 +142,13 @@ def _verdict(now: int, windows: tuple[deque, ...], config: DetectorConfig,
              decided: dict) -> DetectionVerdict:
     """Evict what left (now - window_ms, now]; classify a counts triple at its first hop only."""
     horizon = now - config.window_ms
-    for window in windows:
-        while window and window[0] <= horizon:
-            window.popleft()
     w3, w4, w5 = windows
+    while w3 and w3[0] <= horizon:
+        w3.popleft()
+    while w4 and w4[0] <= horizon:
+        w4.popleft()
+    while w5 and w5[0] <= horizon:
+        w5.popleft()
     counts = n3, n4, n5 = len(w3), len(w4), len(w5)
     try:
         r1, r2, state = decided[counts]

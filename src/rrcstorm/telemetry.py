@@ -17,7 +17,7 @@ from contextlib import suppress
 from io import BytesIO, TextIOBase
 from itertools import compress, islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii
-from operator import is_
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Generator, Iterable, Iterator, Optional, Union
 
@@ -48,6 +48,7 @@ _TRACE_LINE = re.compile(
     r'"ue":"([ !#-\[\]-~]+)"'
     f'(?(3),"cause":"({"|".join(map(re.escape, _CAUSES))})")'
     "}$", re.M)
+_T, _KIND, _UE, _CAUSE = map(itemgetter, (0, 1, 3, 4))   # the groups of a _TRACE_LINE row
 # A high then a low surrogate: the writer escapes each, and the JSON reader joins
 # the two escapes into one character, so a ue holding them cannot round-trip.
 _PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
@@ -283,13 +284,13 @@ def iter_trace(source: Source, *, kinds: Iterable[MsgKind] = tuple(MsgKind)
         for block in _blocks(source):
             rows, lines = findall(block), block.count("\n")
             if len(rows) == lines:
-                t, kind, _, ue, cause = zip(*rows)
-                t = list(map(int, t))
+                t = list(map(int, map(_T, rows)))
                 if prev_t <= t[0] and t == sorted(t):
                     prev_t, line_no = t[-1], line_no + lines
-                    if wanted is not None:   # the wanted rows of each column
-                        keep = list(map(wanted.__contains__, kind))
-                        t, kind, ue, cause = map(compress, (t, kind, ue, cause), repeat(keep))
+                    if wanted is not None:   # t and the rows of the wanted kinds
+                        keep = list(map(wanted.__contains__, map(_KIND, rows)))
+                        t, rows = compress(t, keep), list(compress(rows, keep))
+                    kind, ue, cause = map(map, (_KIND, _UE, _CAUSE), repeat(rows))
                     yield from map(tuple.__new__, repeat(RrcEvent),
                                    zip(t, map(members, kind), ue, map(causes, cause)))
                     continue
@@ -333,14 +334,16 @@ def _verdict_refusal(t, state, n_msg3, n_msg4, n_msg5, r1, r2) -> Optional[str]:
 def _verdict_lines(verdicts: Iterable[DetectionVerdict]) -> Iterator[str]:
     """One line per verdict, its tail formatted and checked once per distinct record;
     ValueError, naming the verdict's index, for one read_verdicts would refuse."""
-    # v[1:] -> (v[1:], its tail), one per distinct record. A hit counts only for the
-    # same objects: -0.0 == 0.0 and True == 1, yet each prints otherwise.
+    # v[1:] -> (v[1:], its tail), one per distinct record. A hit counts only for the same
+    # objects, field by field: -0.0 == 0.0 and True == 1, yet each prints otherwise.
     tails = {}
     for i, v in enumerate(verdicts):
         t, rest = v[0], v[1:]
         seen, tail = tails.get(rest, (None, None))
         try:
-            if type(t) is not int or seen is None or not all(map(is_, seen, rest)):
+            if (type(t) is not int or seen is None or seen[0] is not rest[0]
+                    or seen[1] is not rest[1] or seen[2] is not rest[2] or seen[3] is not rest[3]
+                    or seen[4] is not rest[4] or seen[5] is not rest[5]):
                 if (reason := _verdict_refusal(t, *rest)) is not None:
                     raise ValueError(reason)
                 seen, tail = tails[rest] = rest, _verdict_tail(*rest)

@@ -330,6 +330,40 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "storm-seed1.rrctrace.jsonl").exists()
 
+    @staticmethod
+    def seeded_config_run(tmp_path, name, seed, *flags):
+        """The files of `run` on a config file holding "seed": seed (no key if None)."""
+        scenario = {"kind": "attack", "duration_ms": 2000, "attacker_rate_per_s": 132.07,
+                    "onset_ms": 500, "onset_jitter_ms": 200}
+        if seed is not None:
+            scenario["seed"] = seed
+        path, out = tmp_path / name / "storm.json", tmp_path / name / "out"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"scenario": scenario}))
+        assert main(["run", "--scenario", str(path), "--out", str(out), *flags]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    def test_config_file_seed_is_the_base_seed(self, tmp_path, capsys):
+        files = self.seeded_config_run(tmp_path, "file", 7, "--reps", "2")
+        assert sorted(files) == ["storm-metrics.csv", "storm-seed7.rrctrace.jsonl",
+                                 "storm-seed7.verdicts.jsonl", "storm-seed8.rrctrace.jsonl",
+                                 "storm-seed8.verdicts.jsonl"]
+        assert files == self.seeded_config_run(tmp_path, "flag", 1, "--seed", "7", "--reps", "2")
+
+    def test_seed_flag_wins_over_the_config_file_seed(self, tmp_path, capsys):
+        files = self.seeded_config_run(tmp_path, "file", 7, "--seed", "3")
+        assert sorted(files) == ["storm-metrics.csv", "storm-seed3.rrctrace.jsonl",
+                                 "storm-seed3.verdicts.jsonl"]
+        assert files == self.seeded_config_run(tmp_path, "three", 3)
+
+    def test_config_file_without_a_seed_runs_at_seed_1(self, tmp_path, capsys):
+        files = self.seeded_config_run(tmp_path, "none", None)
+        assert sorted(files) == ["storm-metrics.csv", "storm-seed1.rrctrace.jsonl",
+                                 "storm-seed1.verdicts.jsonl"]
+        assert files == self.seeded_config_run(tmp_path, "one", 1)
+        assert files == self.seeded_config_run(tmp_path, "flag", 5, "--seed", "1")
+        assert load_config_file(tmp_path / "none" / "storm.json")[0].seed == 1
+
     def test_occupancy_flag_shrinks_free_capacity(self, tmp_path, capsys):
         rc = main(["table1", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0

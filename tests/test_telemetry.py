@@ -26,6 +26,7 @@ from rrcstorm import (
     write_trace,
     write_verdicts,
 )
+from rrcstorm.cli import main
 from rrcstorm.detector import run_stream
 from rrcstorm.telemetry import (
     _CHUNK_LINES,
@@ -349,6 +350,47 @@ def test_write_verdicts_writes_each_verdicts_own_line(verdicts):
     else:
         assert write_verdicts(verdicts, buf) == len(verdicts)
         assert buf.getvalue() == "".join(verdict_line(v) + "\n" for v in verdicts)
+
+
+def written(verdicts):
+    """What write_verdicts writes to a stream, or the words of its refusal."""
+    buf = io.StringIO()
+    try:
+        write_verdicts(verdicts, buf)
+    except ValueError as exc:
+        return str(exc)
+    return buf.getvalue()
+
+
+FRESH_300 = int("300")   # equal to the literal 300, another object: above the shared ints
+COUNTS = ("n_msg3", "n_msg4", "n_msg5")
+# (field, its value in v, the other object in v', what v' alone gives: its line, the
+# same line as v's, or the words of its refusal)
+TAIL_CASES = [
+    ("state", GnbState.NORMAL, "normal", "unknown state 'normal'"),
+    *[(count, 1, True, f"'{count}' must be an integer, got True") for count in COUNTS],
+    *[(count, 300, FRESH_300, "same line") for count in COUNTS],
+    *[(ratio, 0.0, -0.0, "-0.0000") for ratio in ("r1", "r2")],
+    *[(ratio, 1.0, 1, "same line") for ratio in ("r1", "r2")],
+]
+
+
+@pytest.mark.parametrize("field,value,other,gives", TAIL_CASES,
+                         ids=[f"{c[0]}-{c[1]!r}-{c[2]!r}" for c in TAIL_CASES])
+def test_verdict_tail_cache_one_field_differs(field, value, other, gives):
+    """[v, v'] where v' differs from v in one field only, as another object that is
+    equal, so that v' finds v's stored tail: v' gets what it gets alone."""
+    assert other == value and other is not value
+    v = DetectionVerdict(25, GnbState.ATTACK, 1, 1, 1, 0.5, 0.5)._replace(**{field: value})
+    w = v._replace(t_ms=50, **{field: other})
+    alone, pair, line = written([w]), written([v, w]), written([v._replace(t_ms=50)])
+    if gives == "same line":
+        assert pair == written([v]) + alone and alone == line
+    elif gives == "-0.0000":
+        assert pair == written([v]) + alone and alone == line.replace("0.0000", "-0.0000", 1)
+        assert f'"{field}":-0.0000' in alone
+    else:
+        assert (alone, pair) == (f"verdict 0: {gives}", f"verdict 1: {gives}")
 
 
 def reference_read_trace(text):
@@ -937,6 +979,66 @@ class TestBlocks:
         with small_blocks(3 * (text.index("\n") + 1)), pytest.raises(TraceParseError) as exc:
             read_trace(source)
         assert str(exc.value) == "line 4: timestamp regression 12 -> 11"
+
+
+COUNTED_CYCLE = (MsgKind.MSG3, MsgKind.MSG4, MsgKind.MSG5)
+
+
+def wanted_row_trace(block_size, where, blocks):
+    """A canonical trace of whole reader blocks whose counted rows (Msg3, Msg4, Msg5 in
+    turn) stand, in every block, on no line, on every line, or on the first or the last
+    line only (where: none, all, first, last); the other rows are Msg1 and Msg2, never
+    longer than a counted row of the same t and ue, so that they never close a block
+    that the counted row would not."""
+    events, size, start, n_counted = [], 0, 0, 0   # start: the offset of the open block
+    while blocks:
+        i, kind = len(events), COUNTED_CYCLE[n_counted % 3]
+        counted = RrcEvent(2 * i, kind, f"u{i % 7}",
+                           EstablishmentCause.MO_DATA if kind is MsgKind.MSG3 else None)
+        closes = size + len(trace_line(counted)) + 1 >= start + block_size
+        if {"none": False, "all": True, "first": size == start, "last": closes}[where]:
+            event, n_counted = counted, n_counted + 1
+        else:
+            event = RrcEvent(2 * i, (MsgKind.MSG1, MsgKind.MSG2)[i % 2], f"u{i % 7}")
+        events.append(event)
+        size += len(trace_line(event)) + 1
+        if size >= start + block_size:   # the block takes the rest of the line that ends it
+            start, blocks = size, blocks - 1
+    return trace_text(events)
+
+
+WHERE = {"none": lambda n: [], "all": lambda n: list(range(n)),
+         "first": lambda n: [0], "last": lambda n: [n - 1]}
+
+
+class TestWantedRows:
+    """Canonical blocks that hold no counted row, only counted rows, or counted rows only
+    on their first or last line: the kinds=COUNTED read gives the strict parse's counted
+    events, and replay the full read's verdicts."""
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("block_size", [telemetry._BLOCK_SIZE, 40])
+    def test_counted_rows_of_canonical_blocks(self, tmp_path, block_size, where):
+        n_blocks = 4 if block_size == telemetry._BLOCK_SIZE else 120   # >= 2 windows
+        text = wanted_row_trace(block_size, where, n_blocks)
+        path, out = tmp_path / "t.rrctrace.jsonl", tmp_path / "t.verdicts.jsonl"
+        path.write_text(text)
+        config = DetectorConfig(window_ms=100, hop_ms=7, msg3_watermark=2)
+        with small_blocks(block_size):
+            blocks = [b.split("\n")[:-1] for b in telemetry._blocks(io.StringIO(text))]
+            assert len(blocks) == n_blocks
+            for lines in blocks:   # every line canonical, counted rows where asked
+                assert len(telemetry._TRACE_LINE.findall("\n".join(lines))) == len(lines)
+                assert [i for i, line in enumerate(lines) if any(
+                    f'"kind":"{k.value}"' in line for k in COUNTED)] == WHERE[where](len(lines))
+            expected = [e for e in reference_read_trace(text) if e.kind in COUNTED]
+            assert bool(expected) is (where != "none")
+            for source in SOURCES.values():
+                assert list(iter_trace(source(text), kinds=COUNTED)) == expected
+            assert main(["replay", str(path), "--out", str(out), "--window-ms", "100",
+                         "--hop-ms", "7", "--watermark", "2"]) == 0
+            full = written(list(iter_verdicts(iter_trace(path), config)))
+        assert out.read_text() == full and (full != "") is (where != "none")
 
 
 def verdict(i):
